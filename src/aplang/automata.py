@@ -10,7 +10,7 @@ minimized forms compare equal.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 Word = tuple[int, ...]
@@ -130,36 +130,6 @@ class Dfa:
             tuple(frozenset((t,)) for t in row) for row in self.delta
         )
         return Nfa(self.alphabet, self.size, frozenset((self.start,)), self.accepting, rows)
-
-    def complement(self) -> "Dfa":
-        return replace(self, accepting=frozenset(range(self.size)) - self.accepting)
-
-    def intersect(self, other: "Dfa") -> "Dfa":
-        """Product automaton over reachable state pairs."""
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        k = len(self.alphabet)
-        start = (self.start, other.start)
-        index = {start: 0}
-        order = [start]
-        rows: list[tuple[int, ...]] = []
-        for q1, q2 in order:
-            row = []
-            for c in range(k):
-                t = (self.delta[q1][c], other.delta[q2][c])
-                if t not in index:
-                    index[t] = len(order)
-                    order.append(t)
-                row.append(index[t])
-            rows.append(tuple(row))
-        accepting = frozenset(
-            i for i, (q1, q2) in enumerate(order)
-            if q1 in self.accepting and q2 in other.accepting
-        )
-        return Dfa(self.alphabet, len(order), 0, accepting, tuple(rows))
-
-    def is_empty(self) -> bool:
-        return self.shortest_word_length() is None
 
     def shortest_word_length(self) -> Optional[int]:
         """Length of a shortest accepted word by breadth-first search, or

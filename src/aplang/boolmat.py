@@ -74,13 +74,6 @@ class BoolMatrix:
             out.append(acc)
         return BoolMatrix(self.size, tuple(out))
 
-    def __pow__(self, k: int) -> "BoolMatrix":
-        return mat_pow(self, k)
-
-    def to_lines(self) -> list[str]:
-        """Rows as 0/1 strings, column 0 leftmost (debug printing)."""
-        return ["".join(str((r >> j) & 1) for j in range(self.size)) for r in self.rows]
-
 
 @dataclass(frozen=True)
 class BoolVector:
@@ -110,15 +103,8 @@ class BoolVector:
             bits |= 1 << i
         return BoolVector(n, bits)
 
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if (self.bits >> i) & 1)
-
     def __matmul__(self, m: BoolMatrix) -> "BoolVector":
         return vec_mat_mul(self, m)
-
-
-def mat_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    return a @ b
 
 
 def vec_mat_mul(v: BoolVector, m: BoolMatrix) -> BoolVector:
@@ -166,12 +152,16 @@ class PowerOrbit:
     period: int
     powers: tuple[BoolMatrix, ...]
 
-    def power(self, k: int) -> BoolMatrix:
+    def reduce(self, k: int) -> int:
+        """Position of A^k in powers; k may be arbitrarily large."""
         if k < 0:
             raise ValueError("exponent must be non-negative")
         if k < len(self.powers):
-            return self.powers[k]
-        return self.powers[self.index + (k - self.index) % self.period]
+            return k
+        return self.index + (k - self.index) % self.period
+
+    def power(self, k: int) -> BoolMatrix:
+        return self.powers[self.reduce(k)]
 
 
 @lru_cache(maxsize=None)
@@ -187,12 +177,6 @@ def power_orbit(a: BoolMatrix) -> PowerOrbit:
         cur = cur @ a
     first = seen[cur]
     return PowerOrbit(index=first, period=len(powers) - first, powers=tuple(powers))
-
-
-def mat_pow(a: BoolMatrix, k: int) -> BoolMatrix:
-    """A^k with A^0 = I; k may be arbitrarily large since it is reduced
-    through the memoized power orbit."""
-    return power_orbit(a).power(k)
 
 
 def incidence_matrices(d: "Dfa") -> tuple[tuple[BoolMatrix, ...], BoolMatrix]:

@@ -123,8 +123,6 @@ def _sample_text(dfa, max_len: int, limit: int = 6) -> str:
 
 
 def _cmd_enumerate_filtrations(args: argparse.Namespace) -> int:
-    from .filtration import enumerate_distinct_filtrations
-
     d = load_dfa(args.dfa_file)
     atlas = enumerate_distinct_filtrations(d, FilterFamily(args.family))
     if args.format == "json":

@@ -10,7 +10,6 @@ space finite because matrix powers are eventually periodic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import isqrt
 from typing import Sequence, TypeVar
@@ -21,7 +20,6 @@ from .boolmat import (
     BoolVector,
     dot,
     incidence_matrices,
-    mat_pow,
     power_orbit,
     vec_mat_mul,
 )
@@ -43,63 +41,64 @@ def diag_word(w: W) -> W:
     return w[:: n + 1]
 
 
-@dataclass(frozen=True)
-class DiagState:
-    """Automaton state after at least one diagonal letter.
-
-    reach: boolean row vector of source states reachable so far.
-    steps: running power of M, one factor per letter read.
-    gap: the guessed matrix bridging consecutive diagonal letters; the
-    guess is confirmed at acceptance time by steps == gap.
-    """
-
-    reach: BoolVector
-    steps: BoolMatrix
-    gap: BoolMatrix
-
-
-def build_diag_nfa(d: Dfa) -> Nfa:
+def build_diag_nfa(d: Dfa, *, gap_after: bool = False) -> Nfa:
     """NFA accepting exactly the diagonal words of the DFA's language.
+
+    After the first letter a state is the triple (reach, steps, gap) of
+    ints: reach holds the bits of the source states reachable so far, and
+    steps and gap are positions in the power orbit of the transition
+    union M, naming the running power M^t of the t letters read and the
+    guessed matrix bridging consecutive diagonal letters.  The orbit's
+    powers are pairwise distinct, so equal positions mean equal matrices.
 
     The first letter fans out over every distinct power of M as the gap
     guess.  Each further letter a updates reach to (reach * gap) * M_a:
     the gap sits between consecutive diagonal letters, never after the
     last one.  A state accepts iff its reach vector meets the accepting
-    set and the running power equals the guess, i.e. the gap really is
-    M^t for the t letters read.
+    set and steps == gap, i.e. the gap really is M^t for the t letters
+    read.
+
+    gap_after=True steps with the gap after each non-initial letter
+    instead (reach * M_a * gap).  That order diverges from diag semantics
+    at two letters; the verification harness builds it to demonstrate
+    the divergence.
     """
     mats, m = incidence_matrices(d)
-    guesses = power_orbit(m).powers
+    orbit = power_orbit(m)
     k = len(d.alphabet)
-    final = BoolVector.from_indices(d.size, d.accepting)
+    final = BoolVector.from_indices(d.size, d.accepting).bits
     unit = BoolVector.unit(d.size, d.start)
+    # fold each gap guess into the letter matrices: one product per transition
+    stride = [
+        [mc @ guess if gap_after else guess @ mc for mc in mats] for guess in orbit.powers
+    ]
 
-    index: dict[DiagState, int] = {}
-    order: list[DiagState] = []
+    index: dict[tuple[int, int, int], int] = {}
+    order: list[tuple[int, int, int]] = []
 
-    def state_of(s: DiagState) -> int:
+    def state_of(s: tuple[int, int, int]) -> int:
         if s not in index:
             index[s] = len(order) + 1
             order.append(s)
         return index[s]
 
+    first = orbit.reduce(1)
     entry_row = tuple(
         frozenset(
-            state_of(DiagState(vec_mat_mul(unit, mats[c]), m, guess))
-            for guess in guesses
+            state_of((vec_mat_mul(unit, mats[c]).bits, first, guess))
+            for guess in range(len(orbit.powers))
         )
         for c in range(k)
     )
     rows: list[tuple[frozenset[int], ...]] = [entry_row]
     i = 0
     while i < len(order):
-        s = order[i]
-        bridged = vec_mat_mul(s.reach, s.gap)
+        reach, steps, gap = order[i]
+        v = BoolVector(d.size, reach)
+        nxt = orbit.reduce(steps + 1)
         rows.append(
             tuple(
-                frozenset(
-                    (state_of(DiagState(vec_mat_mul(bridged, mats[c]), s.steps @ m, s.gap)),)
-                )
+                frozenset((state_of((vec_mat_mul(v, stride[gap][c]).bits, nxt, gap)),))
                 for c in range(k)
             )
         )
@@ -107,64 +106,8 @@ def build_diag_nfa(d: Dfa) -> Nfa:
 
     accepting = frozenset(
         idx + 1
-        for idx, s in enumerate(order)
-        if dot(s.reach, final) and s.steps == s.gap
-    )
-    return Nfa(d.alphabet, 1 + len(order), frozenset((0,)), accepting, tuple(rows))
-
-
-def _build_diag_nfa_gap_after(d: Dfa) -> Nfa:
-    """Variant stepping with the gap applied after each non-initial letter
-    (reach * M_a * gap).  Diverges from diag semantics at two letters; kept
-    so the verification harness can demonstrate the divergence."""
-    mats, m = incidence_matrices(d)
-    guesses = power_orbit(m).powers
-    k = len(d.alphabet)
-    final = BoolVector.from_indices(d.size, d.accepting)
-    unit = BoolVector.unit(d.size, d.start)
-
-    index: dict[DiagState, int] = {}
-    order: list[DiagState] = []
-
-    def state_of(s: DiagState) -> int:
-        if s not in index:
-            index[s] = len(order) + 1
-            order.append(s)
-        return index[s]
-
-    entry_row = tuple(
-        frozenset(
-            state_of(DiagState(vec_mat_mul(unit, mats[c]), m, guess))
-            for guess in guesses
-        )
-        for c in range(k)
-    )
-    rows: list[tuple[frozenset[int], ...]] = [entry_row]
-    i = 0
-    while i < len(order):
-        s = order[i]
-        rows.append(
-            tuple(
-                frozenset(
-                    (
-                        state_of(
-                            DiagState(
-                                vec_mat_mul(vec_mat_mul(s.reach, mats[c]), s.gap),
-                                s.steps @ m,
-                                s.gap,
-                            )
-                        ),
-                    )
-                )
-                for c in range(k)
-            )
-        )
-        i += 1
-
-    accepting = frozenset(
-        idx + 1
-        for idx, s in enumerate(order)
-        if dot(s.reach, final) and s.steps == s.gap
+        for idx, (reach, steps, gap) in enumerate(order)
+        if reach & final and steps == gap
     )
     return Nfa(d.alphabet, 1 + len(order), frozenset((0,)), accepting, tuple(rows))
 
@@ -175,6 +118,8 @@ def diag_oracle_accepts(d: Dfa, w: Word) -> bool:
     No guessing involved: between consecutive diagonal letters lie exactly
     t = len(w) free letters, and M^t sums all length-t paths, so one pass
     multiplying letter matrices interleaved with M^t decides membership.
+    M^t comes from t plain products, not from the construction's power
+    orbit.
     """
     t = len(w)
     if t == 0:
@@ -182,7 +127,9 @@ def diag_oracle_accepts(d: Dfa, w: Word) -> bool:
     mats, m = incidence_matrices(d)
     if any(not 0 <= s < len(mats) for s in w):
         raise ValueError("symbol outside the alphabet")
-    gap = mat_pow(m, t)
+    gap = BoolMatrix.identity(d.size)
+    for _ in range(t):
+        gap = gap @ m
     v = BoolVector.unit(d.size, d.start)
     for j, s in enumerate(w):
         v = vec_mat_mul(v, mats[s])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
 
 from .automata import Dfa, Word
 from .boolmat import (
@@ -80,28 +80,6 @@ def filter_word(w: W, f: ArithFilter) -> W:
     """The subsequence of w at indices offset, step+offset, ... that fall
     inside the word; empty when the offset is already past the end."""
     return w[f.offset::f.step]
-
-
-def filter_word_general(w: W, positions: Iterable[int]) -> W:
-    """Filter by an arbitrary strictly increasing index sequence, supplied
-    as a finite prefix that must reach past the end of the word."""
-    picked: list[int] = []
-    last = -1
-    exhausted = True
-    for pos in positions:
-        if pos <= last:
-            raise ValueError("index sequence must be strictly increasing")
-        last = pos
-        if pos >= len(w):
-            exhausted = False
-            break
-        picked.append(pos)
-    if exhausted and last < len(w) - 1:
-        raise ValueError("index sequence ends before covering the word")
-    out = w[0:0]
-    for pos in picked:
-        out = out + w[pos : pos + 1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -173,7 +151,8 @@ def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
         i += 1
 
     size = 1 + len(vectors)
-    assert size <= (1 << d.size) + 1
+    if size > (1 << d.size) + 1:
+        raise RuntimeError(f"{size} states exceed the subset bound 2^{d.size} + 1")
     accepting = {0} if sig.eps_in else set()
     accepting.update(
         idx + 1 for idx, bits in enumerate(vectors) if bits & accept_bits

@@ -1,12 +1,14 @@
-"""JSON interchange formats for automata and grammars.
+"""JSON interchange formats for automata.
 
 DFA: {"alphabet": ["a","b"], "states": 3, "start": 0, "accepting": [0],
       "delta": {"0": {"a": 1}, "1": {"b": 0}}}
 Transitions omitted from a DFA go to an implicit dead state appended as
 state index `states`.  The NFA format is identical except that "initial"
 is a list and delta values are lists; omitted NFA transitions are simply
-the empty target set.  Writers always emit complete tables, so a write
-followed by a read reproduces the in-memory value exactly.
+the empty target set.  Every state number must be a JSON integer;
+true and false are rejected, although Python counts them as ints.
+Writers always emit complete tables, so a write followed by a read
+reproduces the in-memory value exactly.
 """
 
 from __future__ import annotations
@@ -15,16 +17,26 @@ import json
 from typing import Any
 
 from .automata import Alphabet, Dfa, Nfa
-from .grammar import Cfg
 
 
 def _require(obj: dict, key: str, kind: type) -> Any:
     if key not in obj:
         raise ValueError(f"missing field {key!r}")
     value = obj[key]
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"field {key!r} must be {kind.__name__}")
     return value
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_ints(obj: dict, key: str) -> list[int]:
+    values = _require(obj, key, list)
+    if not all(_is_int(v) for v in values):
+        raise ValueError(f"field {key!r} must list integers")
+    return values
 
 
 def _parse_alphabet(obj: dict) -> Alphabet:
@@ -51,7 +63,7 @@ def obj_to_dfa(obj: dict) -> Dfa:
     alphabet = _parse_alphabet(obj)
     size = _require(obj, "states", int)
     start = _require(obj, "start", int)
-    accepting = _require(obj, "accepting", list)
+    accepting = _require_ints(obj, "accepting")
     delta_obj = _require(obj, "delta", dict)
     transitions: dict[tuple[int, int], int] = {}
     for state_key, row in delta_obj.items():
@@ -62,7 +74,7 @@ def obj_to_dfa(obj: dict) -> Dfa:
         if not isinstance(row, dict):
             raise ValueError("delta rows must be objects")
         for token, target in row.items():
-            if not isinstance(target, int):
+            if not _is_int(target):
                 raise ValueError("transition targets must be integers")
             transitions[(q, alphabet.index(token))] = target
     return Dfa.build(alphabet, size, start, accepting, transitions)
@@ -87,8 +99,8 @@ def nfa_to_obj(n: Nfa) -> dict:
 def obj_to_nfa(obj: dict) -> Nfa:
     alphabet = _parse_alphabet(obj)
     size = _require(obj, "states", int)
-    initial = _require(obj, "initial", list)
-    accepting = _require(obj, "accepting", list)
+    initial = _require_ints(obj, "initial")
+    accepting = _require_ints(obj, "accepting")
     delta_obj = _require(obj, "delta", dict)
     k = len(alphabet)
     rows = [[frozenset() for _ in range(k)] for _ in range(size)]
@@ -102,8 +114,8 @@ def obj_to_nfa(obj: dict) -> Nfa:
         if not isinstance(row, dict):
             raise ValueError("delta rows must be objects")
         for token, targets in row.items():
-            if not isinstance(targets, list):
-                raise ValueError("NFA transition targets must be lists")
+            if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
+                raise ValueError("NFA transition targets must be lists of integers")
             rows[q][alphabet.index(token)] = frozenset(targets)
     return Nfa(
         alphabet,
@@ -112,26 +124,6 @@ def obj_to_nfa(obj: dict) -> Nfa:
         frozenset(accepting),
         tuple(tuple(row) for row in rows),
     )
-
-
-def cfg_to_obj(g: Cfg) -> dict:
-    return {
-        "terminals": list(g.terminals.names),
-        "nonterminals": list(g.nonterminals),
-        "start": g.start,
-        "rules": {lhs: [list(rhs) for rhs in rhss] for lhs, rhss in g.rules},
-    }
-
-
-def obj_to_cfg(obj: dict) -> Cfg:
-    terminals = Alphabet(tuple(_require(obj, "terminals", list)))
-    nonterminals = _require(obj, "nonterminals", list)
-    start = _require(obj, "start", str)
-    rules_obj = _require(obj, "rules", dict)
-    rules = {
-        lhs: [tuple(rhs) for rhs in rhss] for lhs, rhss in rules_obj.items()
-    }
-    return Cfg.make(terminals, tuple(nonterminals), start, rules)
 
 
 def load_dfa(path: str) -> Dfa:
@@ -155,13 +147,3 @@ def save_nfa(n: Nfa, path: str) -> None:
         json.dump(nfa_to_obj(n), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-def load_cfg(path: str) -> Cfg:
-    with open(path, encoding="utf-8") as fh:
-        return obj_to_cfg(json.load(fh))
-
-
-def save_cfg(g: Cfg, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg_to_obj(g), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,8 +1,14 @@
-"""Shared automata used across the suite."""
+"""Shared automata used across the suite, and the suite's hypothesis
+profile: derandomized with no example database, so every run draws the
+same examples."""
 
 import pytest
+from hypothesis import settings
 
 from aplang.automata import Alphabet, Dfa
+
+settings.register_profile("aplang", derandomize=True, database=None)
+settings.load_profile("aplang")
 
 AB = Alphabet(("a", "b"))
 ZO = Alphabet(("0", "1"))
@@ -25,20 +31,6 @@ def universal_dfa(alphabet: Alphabet = AB) -> Dfa:
 
 def empty_dfa(alphabet: Alphabet = AB) -> Dfa:
     return Dfa(alphabet, 1, 0, frozenset(), ((0,) * len(alphabet),))
-
-
-def ones_then_twos_dfa() -> Dfa:
-    """1*2* over {1, 2, 3}."""
-    return Dfa.build(
-        OTT, 2, 0, [0, 1], {(0, 0): 0, (0, 1): 1, (1, 1): 1}
-    )
-
-
-def twos_then_threes_dfa() -> Dfa:
-    """2*3* over {1, 2, 3}."""
-    return Dfa.build(
-        OTT, 2, 0, [0, 1], {(0, 1): 0, (0, 2): 1, (1, 2): 1}
-    )
 
 
 def twos_dfa() -> Dfa:

@@ -12,8 +12,8 @@ import random
 from dataclasses import replace
 from itertools import product
 
+import aplang.verification
 from aplang.diag import (
-    _build_diag_nfa_gap_after,
     build_diag_nfa,
     diag_oracle_accepts,
     diag_oracle_exhaustive,
@@ -211,9 +211,28 @@ def test_criterion_8_deep_169():
     report("criterion 8 (deep): PASS - |y|=169 sweep realizes only the t=2 staircase")
 
 
+def test_criterion_8_deep_sweep_checks_each_member_diagonal(monkeypatch):
+    # a |y|=169 member whose diagonal misses its pattern must FAIL the
+    # claim; the check is a real branch, so python -O keeps it
+    real = aplang.verification.enumerate_thm5_by_length
+
+    def wrong_diagonal(length, pattern):
+        if length == 169:
+            yield "a" * 169
+        else:
+            yield from real(length, pattern)
+
+    monkeypatch.setattr(aplang.verification, "enumerate_thm5_by_length", wrong_diagonal)
+    result = verify_thm5(deep=True)
+    assert result.outcome == "FAIL"
+    assert result.witness == (
+        "|y|=169: a member enumerated for abcdefghiiiij has diagonal aaaaaaaaaaaaa"
+    )
+
+
 def test_criterion_9_mutation_flipping_diag_step_order_breaks_a_suite():
     d = single_word_dfa("abba", AB)
-    mutated = _build_diag_nfa_gap_after(d)
+    mutated = build_diag_nfa(d, gap_after=True)
     literal = diag_oracle_exhaustive(d, 2)
     broken = [
         w

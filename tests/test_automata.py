@@ -8,18 +8,7 @@ import pytest
 from aplang.automata import Alphabet, Dfa, Nfa
 from aplang.verification import random_dfa
 
-from conftest import (
-    AB,
-    OTT,
-    ab_star_dfa,
-    empty_dfa,
-    ones_then_twos_dfa,
-    single_word_dfa,
-    twos_dfa,
-    twos_then_threes_dfa,
-    universal_dfa,
-    zeros_then_one_dfa,
-)
+from conftest import AB, ab_star_dfa, empty_dfa, single_word_dfa, twos_dfa
 
 
 def all_words(alphabet: Alphabet, max_len: int):
@@ -75,7 +64,7 @@ def test_determinize_round_trip(ab_star):
 
 def test_determinize_no_accepting_states():
     n = Nfa(AB, 2, frozenset({0}), frozenset(), ((frozenset({1}), frozenset({1})), (frozenset({1}), frozenset({1}))))
-    assert n.determinize().is_empty()
+    assert n.determinize().shortest_word_length() is None
 
 
 def test_determinize_sigma_star_a():
@@ -227,41 +216,6 @@ def test_equivalent_is_an_equivalence_relation():
 def test_equivalent_alphabet_mismatch():
     with pytest.raises(ValueError):
         ab_star_dfa().equivalent(twos_dfa())
-
-
-# --- intersection, emptiness -----------------------------------------------
-
-
-def test_intersect_with_universal_is_identity(ab_star):
-    assert ab_star.intersect(universal_dfa()).equivalent(ab_star)
-
-
-def test_intersect_with_empty_is_empty(ab_star):
-    assert ab_star.intersect(empty_dfa()).is_empty()
-
-
-def test_intersect_ones_twos_with_twos_threes():
-    inter = ones_then_twos_dfa().intersect(twos_then_threes_dfa())
-    assert inter.equivalent(twos_dfa())
-    expected = {w for w in all_words(OTT, 5) if all(s == 1 for s in w)}
-    assert set(inter.enumerate_accepted(5)) == expected
-
-
-def test_intersect_alphabet_mismatch(ab_star):
-    with pytest.raises(ValueError):
-        ab_star.intersect(zeros_then_one_dfa())
-
-
-def test_complement_and_contradiction():
-    rng = random.Random(15)
-    for _ in range(10):
-        d = random_dfa(rng, 4)
-        assert d.intersect(d.complement()).is_empty()
-
-
-def test_is_empty_basics(ab_star):
-    assert empty_dfa().is_empty()
-    assert not ab_star.is_empty()
 
 
 # --- enumeration and shortest words ----------------------------------------

@@ -10,8 +10,6 @@ from aplang.boolmat import (
     BoolVector,
     dot,
     incidence_matrices,
-    mat_mul,
-    mat_pow,
     mat_vec_mul,
     power_orbit,
     vec_mat_mul,
@@ -63,7 +61,7 @@ def test_dim_mismatch_rejected():
     a = BoolMatrix.identity(2)
     b = BoolMatrix.identity(3)
     with pytest.raises(ValueError):
-        mat_mul(a, b)
+        a @ b
     with pytest.raises(ValueError):
         vec_mat_mul(BoolVector(3, 0b101), a)
     with pytest.raises(ValueError):
@@ -98,12 +96,16 @@ def test_mat_vec_mul_column_product():
 
 def test_power_basics():
     a = from_lists([[0, 1], [1, 1]])
-    assert mat_pow(a, 0) == BoolMatrix.identity(2)
+    assert power_orbit(a).power(0) == BoolMatrix.identity(2)
     p = BoolMatrix.from_entries(2, [(0, 1), (1, 0)])
-    assert mat_pow(p, 2) == BoolMatrix.identity(2)
-    assert mat_pow(p, 3) == p
+    orbit = power_orbit(p)
+    assert orbit.power(2) == BoolMatrix.identity(2)
+    assert orbit.power(3) == p
+    assert (orbit.reduce(2), orbit.reduce(3)) == (0, 1)
     with pytest.raises(ValueError):
-        mat_pow(a, -1)
+        power_orbit(a).power(-1)
+    with pytest.raises(ValueError):
+        power_orbit(a).reduce(-1)
 
 
 def test_orbit_identity():
@@ -131,8 +133,9 @@ def test_orbit_reduction_of_large_exponents():
         _, m = incidence_matrices(d)
         orbit = power_orbit(m)
         span = orbit.index + orbit.period
-        assert mat_pow(m, span + 3) == mat_pow(m, orbit.index + (span + 3 - orbit.index) % orbit.period)
-        assert mat_pow(m, 10**30 * orbit.period + orbit.index) == mat_pow(m, orbit.index)
+        assert orbit.reduce(span + 3) == orbit.index + (span + 3 - orbit.index) % orbit.period
+        assert orbit.reduce(10**30 * orbit.period + orbit.index) == orbit.index
+        assert [orbit.reduce(k) for k in range(span)] == list(range(span))
 
 
 def test_mat_pow_matches_repeated_multiplication():
@@ -143,7 +146,7 @@ def test_mat_pow_matches_repeated_multiplication():
         orbit = power_orbit(m)
         acc = BoolMatrix.identity(m.size)
         for k in range(orbit.index + orbit.period + 5):
-            assert mat_pow(m, k) == acc
+            assert orbit.power(k) == acc
             acc = acc @ m
 
 
@@ -173,11 +176,12 @@ def test_path_algebra_soundness():
     for _ in range(20):
         d = random_dfa(rng, 5)
         _, m = incidence_matrices(d)
+        orbit = power_orbit(m)
         adj = [set(row) for row in d.delta]
         for i in range(d.size):
             reach = {i}
             for k in range(7):
-                mk = mat_pow(m, k)
+                mk = orbit.power(k)
                 assert {j for j in range(d.size) if mk.entry(i, j)} == reach
                 reach = {t for q in reach for t in adj[q]}
 
@@ -226,8 +230,3 @@ def test_matrix_validation():
         BoolMatrix(2, (4, 0))
     with pytest.raises(ValueError):
         BoolMatrix(0, ())
-
-
-def test_to_lines_debug_rendering():
-    m = BoolMatrix.from_entries(3, [(0, 1), (2, 2)])
-    assert m.to_lines() == ["010", "000", "001"]

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from aplang.cli import main
-from aplang.jsonio import load_dfa, load_nfa, obj_to_dfa, save_dfa
+from aplang.jsonio import dfa_to_obj, load_dfa, load_nfa, obj_to_dfa, save_dfa
 
 from conftest import AB, ab_star_dfa, universal_dfa
 
@@ -83,6 +83,20 @@ def test_filter_lang_invalid_json_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "filter-lang", str(bad), "2", "0")
     assert code == 2
     assert "line" in err and "column" in err  # position diagnostic
+
+
+@pytest.mark.parametrize(
+    "field, value", [("accepting", ["0"]), ("states", True)]
+)
+def test_filter_lang_wrongly_typed_field_exits_2(tmp_path, capsys, field, value):
+    obj = dfa_to_obj(universal_dfa())  # one state, so true would read as 1
+    obj[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "filter-lang", str(bad), "2", "0")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_filter_lang_missing_file_exits_3(tmp_path, capsys):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aplang.automata import Dfa
+from aplang.boolmat import incidence_matrices, power_orbit
 from aplang.diag import (
     BudgetExceededError,
-    _build_diag_nfa_gap_after,
     build_diag_nfa,
     diag_oracle_accepts,
     diag_oracle_exhaustive,
@@ -183,7 +183,7 @@ def test_gap_after_variant_diverges_at_two_letters():
     # {aa}; stepping with the gap after each letter instead accepts {ab}
     d = single_word_dfa("abba", AB)
     good = build_diag_nfa(d)
-    bad = _build_diag_nfa_gap_after(d)
+    bad = build_diag_nfa(d, gap_after=True)
     aa, ab = AB.word("aa"), AB.word("ab")
     assert diag_word(AB.word("abba")) == aa
     assert good.accepts(aa) and not good.accepts(ab)
@@ -198,7 +198,7 @@ def test_gap_after_variant_agrees_at_one_letter():
     for _ in range(10):
         d = random_dfa(rng, 4, min_symbols=2, max_symbols=2)
         good = build_diag_nfa(d)
-        bad = _build_diag_nfa_gap_after(d)
+        bad = build_diag_nfa(d, gap_after=True)
         for c in range(2):
             assert good.accepts((c,)) == bad.accepts((c,))
 
@@ -207,8 +207,6 @@ def test_gap_after_variant_agrees_at_one_letter():
 
 
 def test_diag_states_bounded_by_orbit():
-    from aplang.boolmat import incidence_matrices, power_orbit
-
     rng = random.Random(37)
     for _ in range(10):
         d = random_dfa(rng, 4, min_symbols=2, max_symbols=2)
@@ -217,3 +215,49 @@ def test_diag_states_bounded_by_orbit():
         guesses = orbit.index + orbit.period
         nfa = build_diag_nfa(d)
         assert nfa.size <= 1 + guesses * guesses * (1 << d.size)
+
+
+def coprime_cycle_dfa(lengths: tuple[int, ...]) -> Dfa:
+    """Disjoint cycles of the given lengths over {a, b}; both letters step
+    one place along the cycle; start 0, accepting {0}."""
+    delta = []
+    base = 0
+    for length in lengths:
+        delta.extend((base + (q + 1) % length,) * 2 for q in range(length))
+        base += length
+    return Dfa(AB, base, 0, frozenset({0}), tuple(delta))
+
+
+def test_diag_state_count_on_coprime_cycles():
+    """The (3, 4, 5) cycle automaton's diagonal NFA has exactly 1 + 60^2
+    states.
+
+    M is the permutation of the three cycles, so its orbit has index 0
+    and period p = lcm(3, 4, 5) = 60, and a gap guess or a running power
+    is a residue mod 60.  Both letters apply M, so after t letters with
+    gap guess g the reach vector is e_0 M^(1 + (t-1)(g+1)): a function
+    of (t mod 60, g), which the state already records as (steps, gap).
+    Every pair is reached, because the first letter fans out over all 60
+    guesses and steps then runs through every residue.  That gives p^2
+    states after the first letter, plus the initial state.
+    """
+    d = coprime_cycle_dfa((3, 4, 5))
+    _, m = incidence_matrices(d)
+    orbit = power_orbit(m)
+    assert (orbit.index, orbit.period) == (0, 60)
+    assert build_diag_nfa(d).size == 1 + 60 * 60
+
+
+def test_diag_nfa_folds_back_through_orbit_index():
+    # every path of {abba}'s automaton ends in the dead state after five
+    # letters, so M^5 = M^6: index 5, period 1.  Words longer than five
+    # letters step the running power past the listed range.
+    d = single_word_dfa("abba", AB)
+    _, m = incidence_matrices(d)
+    orbit = power_orbit(m)
+    assert (orbit.index, orbit.period) == (5, 1)
+    assert orbit.reduce(6) == orbit.reduce(7) == 5
+    nfa = build_diag_nfa(d)
+    for t in range(1, 8):
+        for w in product(range(2), repeat=t):
+            assert nfa.accepts(w) == diag_oracle_accepts(d, w) == (w == AB.word("aa"))

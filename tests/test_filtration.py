@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aplang.automata import Dfa
-from aplang.boolmat import BoolMatrix, BoolVector, incidence_matrices, mat_pow
+from aplang.boolmat import BoolMatrix, BoolVector, incidence_matrices, power_orbit
 from aplang.filtration import (
     ArithFilter,
     FilterFamily,
@@ -16,7 +16,6 @@ from aplang.filtration import (
     enumerate_distinct_filtrations,
     enumeration_window,
     filter_word,
-    filter_word_general,
     filtered_language_oracle,
     signature,
 )
@@ -62,36 +61,6 @@ def test_filter_word_matches_index_spelling(w, a, b):
     assert len(filter_word(w, f)) == max(0, -(-(len(w) - b) // a) if len(w) > b else 0)
 
 
-def test_filter_word_general_examples():
-    evens = range(0, 100, 2)
-    odds = range(1, 100, 2)
-    assert filter_word_general("theorem", evens) == "term"
-    assert filter_word_general("theorem", odds) == "hoe"
-    assert filter_word_general("abcde", [1, 4, 9]) == "be"
-    assert filter_word_general("abc", [0, 1, 2, 3]) == "abc"
-
-
-@settings(max_examples=150)
-@given(
-    st.text(alphabet="ab", max_size=20),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=5),
-)
-def test_filter_word_general_agrees_with_arith(w, a, b):
-    prefix = [a * i + b for i in range(len(w) + 2)]
-    assert filter_word_general(w, prefix) == filter_word(w, ArithFilter(a, b))
-
-
-def test_filter_word_general_rejects_bad_sequences():
-    with pytest.raises(ValueError):
-        filter_word_general("abc", [0, 0, 1])
-    with pytest.raises(ValueError):
-        filter_word_general("abc", [2, 1])
-    with pytest.raises(ValueError):
-        filter_word_general("abcdef", [0, 2])  # ends before covering the word
-    assert filter_word_general("", []) == ""
-
-
 # --- signatures --------------------------------------------------------------
 
 
@@ -106,16 +75,19 @@ def test_signature_identity_filter(ab_star):
 
 def test_signature_distinguishes_steps(ab_star):
     _, m = incidence_matrices(ab_star)
+    orbit = power_orbit(m)
     # the transition-union matrix of the 3-state completion has orbit
     # index 1, period 2, so M^3 folds back onto M and the signatures of
     # steps 2 and 4 coincide (as do their languages, both a*)
-    assert mat_pow(m, 3) == mat_pow(m, 1)
+    assert (orbit.index, orbit.period) == (1, 2)
+    assert orbit.reduce(3) == 1
+    assert orbit.power(3) == orbit.power(1)
     assert signature(ab_star, ArithFilter(2, 0)) == signature(ab_star, ArithFilter(4, 0))
     assert build_filtered_dfa(ab_star, ArithFilter(4, 0)).equivalent(
         build_filtered_dfa(ab_star, ArithFilter(2, 0))
     )
     # consecutive steps do differ: M^2 != M^1
-    assert mat_pow(m, 2) != mat_pow(m, 1)
+    assert orbit.power(2) != orbit.power(1)
     assert signature(ab_star, ArithFilter(2, 0)) != signature(ab_star, ArithFilter(3, 0))
     assert signature(ab_star, ArithFilter(1, 0)) != signature(ab_star, ArithFilter(2, 0))
 
@@ -125,8 +97,6 @@ def test_signature_periodic_in_offset():
     for _ in range(10):
         d = random_dfa(rng, 4)
         _, b_bound = enumeration_window(d)
-        from aplang.boolmat import power_orbit
-
         _, m = incidence_matrices(d)
         period = power_orbit(m).period
         for a in (1, 2, 3):
@@ -252,7 +222,7 @@ def test_atlas_universal_single_entry():
 def test_atlas_empty_language_single_entry():
     atlas = enumerate_distinct_filtrations(empty_dfa(), FilterFamily.STRONG)
     assert len(atlas) == 1
-    assert atlas.entries[0][1].is_empty()
+    assert atlas.entries[0][1].shortest_word_length() is None
 
 
 def test_atlas_shift_family_of_ab_star(ab_star):

@@ -5,20 +5,17 @@ import json
 import pytest
 
 from aplang.diag import build_diag_nfa
-from aplang.grammar import THM2_GRAMMAR, ZERO_N_ONE_N_GRAMMAR
 from aplang.jsonio import (
-    cfg_to_obj,
     dfa_to_obj,
     load_dfa,
     nfa_to_obj,
-    obj_to_cfg,
     obj_to_dfa,
     obj_to_nfa,
     save_dfa,
 )
 from aplang.verification import random_dfa
 
-from conftest import ab_star_dfa, zeros_then_one_dfa
+from conftest import ab_star_dfa, universal_dfa, zeros_then_one_dfa
 
 
 def test_dfa_round_trip_identity():
@@ -37,11 +34,6 @@ def test_nfa_round_trip_identity():
         d = random_dfa(rng, 4, min_symbols=2, max_symbols=2)
         for n in (d.to_nfa(), build_diag_nfa(d)):
             assert obj_to_nfa(nfa_to_obj(n)) == n
-
-
-def test_cfg_round_trip_identity():
-    for g in (THM2_GRAMMAR, ZERO_N_ONE_N_GRAMMAR):
-        assert obj_to_cfg(cfg_to_obj(g)) == g
 
 
 def test_partial_dfa_gains_dead_state():
@@ -101,12 +93,32 @@ def test_malformed_objects_rejected():
             obj_to_dfa(obj)
 
 
-def test_cfg_obj_shape():
-    obj = cfg_to_obj(THM2_GRAMMAR)
-    assert obj["terminals"] == ["0", "1", "2", "3"]
-    assert obj["rules"]["S"] == [["1", "0", "A", "B"]]
-    g = obj_to_cfg(obj)
-    assert g.start == "S"
+@pytest.mark.parametrize("bad", [True, False, "0", 0.0, None])
+def test_state_numbers_must_be_integers(bad):
+    # bool is an int subclass in Python, so true/false need their own
+    # check; one state makes "states": true read as a valid count of 1
+    dfa_breakages = (
+        lambda o: o.update(states=bad),
+        lambda o: o.update(start=bad),
+        lambda o: o.update(accepting=[bad]),
+        lambda o: o["delta"]["0"].update(a=bad),
+    )
+    for breakage in dfa_breakages:
+        obj = dfa_to_obj(universal_dfa())
+        breakage(obj)
+        with pytest.raises(ValueError):
+            obj_to_dfa(obj)
+    nfa_breakages = (
+        lambda o: o.update(states=bad),
+        lambda o: o.update(initial=[bad]),
+        lambda o: o.update(accepting=[bad]),
+        lambda o: o["delta"]["0"].update(a=[bad]),
+    )
+    for breakage in nfa_breakages:
+        obj = nfa_to_obj(universal_dfa().to_nfa())
+        breakage(obj)
+        with pytest.raises(ValueError):
+            obj_to_nfa(obj)
 
 
 def test_file_round_trip(tmp_path):
