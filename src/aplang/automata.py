@@ -15,8 +15,6 @@ from typing import Iterable, Mapping, Optional
 
 Word = tuple[int, ...]
 
-EPSILON: Word = ()
-
 
 @dataclass(frozen=True)
 class Alphabet:
@@ -32,10 +30,6 @@ class Alphabet:
             raise ValueError("alphabet tokens must be unique")
         if any(not isinstance(t, str) or not t for t in self.names):
             raise ValueError("alphabet tokens must be nonempty strings")
-
-    @staticmethod
-    def from_string(tokens: str) -> "Alphabet":
-        return Alphabet(tuple(tokens))
 
     def __len__(self) -> int:
         return len(self.names)

@@ -40,10 +40,6 @@ class BoolMatrix:
         return BoolMatrix(n, tuple(1 << i for i in range(n)))
 
     @staticmethod
-    def zero(n: int) -> "BoolMatrix":
-        return BoolMatrix(n, (0,) * n)
-
-    @staticmethod
     def from_entries(n: int, entries) -> "BoolMatrix":
         rows = [0] * n
         for i, j in entries:
@@ -58,85 +54,21 @@ class BoolMatrix:
             raise ValueError("dimension mismatch")
         return BoolMatrix(self.size, tuple(a | b for a, b in zip(self.rows, other.rows)))
 
+    def rows_or(self, bits: int) -> int:
+        """Row vector times matrix: the OR of the rows selected by bits."""
+        acc = 0
+        rows = self.rows
+        while bits:
+            low = bits & -bits
+            acc |= rows[low.bit_length() - 1]
+            bits ^= low
+        return acc
+
     def __matmul__(self, other: "BoolMatrix") -> "BoolMatrix":
         """Boolean (OR of AND) matrix product."""
         if other.size != self.size:
             raise ValueError("dimension mismatch")
-        orows = other.rows
-        out = []
-        for r in self.rows:
-            acc = 0
-            bits = r
-            while bits:
-                low = bits & -bits
-                acc |= orows[low.bit_length() - 1]
-                bits ^= low
-            out.append(acc)
-        return BoolMatrix(self.size, tuple(out))
-
-
-@dataclass(frozen=True)
-class BoolVector:
-    """Boolean row vector of width size, packed into the int bits."""
-
-    size: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise ValueError("vector size must be positive")
-        if self.bits < 0 or self.bits & ~((1 << self.size) - 1):
-            raise ValueError("bits outside the vector width")
-
-    @staticmethod
-    def unit(n: int, i: int) -> "BoolVector":
-        if not 0 <= i < n:
-            raise ValueError("unit position out of range")
-        return BoolVector(n, 1 << i)
-
-    @staticmethod
-    def from_indices(n: int, indices) -> "BoolVector":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError("index out of range")
-            bits |= 1 << i
-        return BoolVector(n, bits)
-
-    def __matmul__(self, m: BoolMatrix) -> "BoolVector":
-        return vec_mat_mul(self, m)
-
-
-def vec_mat_mul(v: BoolVector, m: BoolMatrix) -> BoolVector:
-    """Row vector times matrix: OR of the rows selected by v's set bits."""
-    if v.size != m.size:
-        raise ValueError("dimension mismatch")
-    acc = 0
-    bits = v.bits
-    rows = m.rows
-    while bits:
-        low = bits & -bits
-        acc |= rows[low.bit_length() - 1]
-        bits ^= low
-    return BoolVector(v.size, acc)
-
-
-def mat_vec_mul(m: BoolMatrix, v: BoolVector) -> BoolVector:
-    """Matrix times column vector: bit i set iff row i meets v."""
-    if v.size != m.size:
-        raise ValueError("dimension mismatch")
-    acc = 0
-    for i, r in enumerate(m.rows):
-        if r & v.bits:
-            acc |= 1 << i
-    return BoolVector(v.size, acc)
-
-
-def dot(v: BoolVector, w: BoolVector) -> int:
-    """Boolean inner product: 1 iff the vectors share a set bit."""
-    if v.size != w.size:
-        raise ValueError("dimension mismatch")
-    return 1 if v.bits & w.bits else 0
+        return BoolMatrix(self.size, tuple(other.rows_or(r) for r in self.rows))
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,7 @@ from math import isqrt
 from typing import Sequence, TypeVar
 
 from .automata import Dfa, Nfa, Word
-from .boolmat import (
-    BoolMatrix,
-    BoolVector,
-    dot,
-    incidence_matrices,
-    power_orbit,
-    vec_mat_mul,
-)
+from .boolmat import BoolMatrix, incidence_matrices, power_orbit
 
 W = TypeVar("W", bound=Sequence)
 
@@ -66,8 +59,7 @@ def build_diag_nfa(d: Dfa, *, gap_after: bool = False) -> Nfa:
     mats, m = incidence_matrices(d)
     orbit = power_orbit(m)
     k = len(d.alphabet)
-    final = BoolVector.from_indices(d.size, d.accepting).bits
-    unit = BoolVector.unit(d.size, d.start)
+    final = sum(1 << q for q in d.accepting)
     # fold each gap guess into the letter matrices: one product per transition
     stride = [
         [mc @ guess if gap_after else guess @ mc for mc in mats] for guess in orbit.powers
@@ -85,7 +77,7 @@ def build_diag_nfa(d: Dfa, *, gap_after: bool = False) -> Nfa:
     first = orbit.reduce(1)
     entry_row = tuple(
         frozenset(
-            state_of((vec_mat_mul(unit, mats[c]).bits, first, guess))
+            state_of((mats[c].rows_or(1 << d.start), first, guess))
             for guess in range(len(orbit.powers))
         )
         for c in range(k)
@@ -94,11 +86,10 @@ def build_diag_nfa(d: Dfa, *, gap_after: bool = False) -> Nfa:
     i = 0
     while i < len(order):
         reach, steps, gap = order[i]
-        v = BoolVector(d.size, reach)
         nxt = orbit.reduce(steps + 1)
         rows.append(
             tuple(
-                frozenset((state_of((vec_mat_mul(v, stride[gap][c]).bits, nxt, gap)),))
+                frozenset((state_of((stride[gap][c].rows_or(reach), nxt, gap)),))
                 for c in range(k)
             )
         )
@@ -130,12 +121,12 @@ def diag_oracle_accepts(d: Dfa, w: Word) -> bool:
     gap = BoolMatrix.identity(d.size)
     for _ in range(t):
         gap = gap @ m
-    v = BoolVector.unit(d.size, d.start)
+    v = 1 << d.start
     for j, s in enumerate(w):
-        v = vec_mat_mul(v, mats[s])
+        v = mats[s].rows_or(v)
         if j < t - 1:
-            v = vec_mat_mul(v, gap)
-    return bool(dot(v, BoolVector.from_indices(d.size, d.accepting)))
+            v = gap.rows_or(v)
+    return bool(v & sum(1 << q for q in d.accepting))
 
 
 def diag_oracle_exhaustive(

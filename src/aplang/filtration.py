@@ -15,14 +15,7 @@ from enum import Enum
 from typing import Iterator, Sequence, TypeVar
 
 from .automata import Dfa, Word
-from .boolmat import (
-    BoolMatrix,
-    BoolVector,
-    incidence_matrices,
-    mat_vec_mul,
-    power_orbit,
-    vec_mat_mul,
-)
+from .boolmat import incidence_matrices, power_orbit
 
 W = TypeVar("W", bound=Sequence)
 
@@ -39,9 +32,6 @@ class ArithFilter:
             raise ValueError("step must be at least 1")
         if self.offset < 0:
             raise ValueError("offset must be non-negative")
-
-    def position(self, i: int) -> int:
-        return self.step * i + self.offset
 
     def __str__(self) -> str:
         return f"(a={self.step}, b={self.offset})"
@@ -82,54 +72,50 @@ def filter_word(w: W, f: ArithFilter) -> W:
     return w[f.offset::f.step]
 
 
-@dataclass(frozen=True)
-class FiltrationSignature:
-    """Everything the filtered-language automaton depends on.
+def signature(d: Dfa, f: ArithFilter) -> tuple[int, int, int, bool]:
+    """Everything the filtered-language automaton depends on, as orbit
+    positions and bits of the transition union M.
 
-    step_matrix drives the inter-letter stride, accept_or folds the up-to
-    step-1 trailing free letters into acceptance, start_row is the start
-    state's row after the leading offset, and eps_in records whether the
-    empty word is filtered in.  Equal signatures give equal filtered
-    languages (a tested property).
+    The tuple holds the position of the stride M^(step-1) in the power
+    orbit; the fold, the number of leading powers I, M, ..., whose OR
+    lets up to step-1 trailing free letters reach acceptance (at most
+    len(powers), since higher powers repeat listed ones); the start
+    state's row of M^offset; and whether the empty word is filtered in.
+    build_filtered_dfa reads nothing else, so equal signatures give equal
+    filtered languages.
     """
-
-    step_matrix: BoolMatrix
-    accept_or: BoolMatrix
-    start_row: BoolVector
-    eps_in: bool
-
-
-def signature(d: Dfa, f: ArithFilter) -> FiltrationSignature:
     _, m = incidence_matrices(d)
     orbit = power_orbit(m)
-    step_matrix = orbit.power(f.step - 1)
-    distinct = orbit.index + orbit.period
-    acc = orbit.powers[0]
-    for i in range(1, min(f.step, distinct)):
-        acc = acc | orbit.powers[i]
-    start_row = vec_mat_mul(BoolVector.unit(d.size, d.start), orbit.power(f.offset))
     shortest = d.shortest_word_length()
-    eps_in = shortest is not None and shortest <= f.offset
-    return FiltrationSignature(step_matrix, acc, start_row, eps_in)
+    return (
+        orbit.reduce(f.step - 1),
+        min(f.step, len(orbit.powers)),
+        orbit.power(f.offset).rows[d.start],
+        shortest is not None and shortest <= f.offset,
+    )
 
 
 def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
     """Automaton for the filtered language, built lazily over the boolean
-    row vectors reachable from a dedicated start state.
+    row vectors (int bit sets of source states) reachable from a dedicated
+    start state.
 
     From the start state, symbol c leads to start_row * M_c; from a vector
-    state q it leads to q * step_matrix * M_c.  A vector state accepts iff
-    it meets accept_or * f, i.e. some number of trailing free letters
-    below the step reaches an accepting source state; the start state
-    accepts iff the empty word is filtered in.
+    state v it leads to v * M^(step-1) * M_c.  A vector state accepts iff
+    v * (I | M | ... | M^(fold-1)) meets the accepting set, i.e. some
+    number of trailing free letters below the step reaches an accepting
+    source state; the start state accepts iff the empty word is filtered
+    in.
     """
-    mats, _ = incidence_matrices(d)
-    sig = signature(d, f)
-    k = len(d.alphabet)
-    final_vec = BoolVector.from_indices(d.size, d.accepting)
-    accept_bits = mat_vec_mul(sig.accept_or, final_vec).bits
+    mats, m = incidence_matrices(d)
+    powers = power_orbit(m).powers
+    stride, fold, start_row, eps_in = signature(d, f)
+    final = sum(1 << q for q in d.accepting)
+    acc = powers[0]
+    for p in powers[1:fold]:
+        acc = acc | p
     # fold the stride into per-symbol matrices so each transition is one product
-    step_syms = [sig.step_matrix @ mc for mc in mats]
+    step_syms = [powers[stride] @ mc for mc in mats]
 
     index: dict[int, int] = {}
     vectors: list[int] = []
@@ -140,22 +126,20 @@ def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
             vectors.append(bits)
         return index[bits]
 
-    start_targets = tuple(
-        state_of(vec_mat_mul(sig.start_row, mats[c]).bits) for c in range(k)
-    )
+    start_targets = tuple(state_of(mc.rows_or(start_row)) for mc in mats)
     rows: list[tuple[int, ...]] = [start_targets]
     i = 0
     while i < len(vectors):
-        v = BoolVector(d.size, vectors[i])
-        rows.append(tuple(state_of(vec_mat_mul(v, step_syms[c]).bits) for c in range(k)))
+        v = vectors[i]
+        rows.append(tuple(state_of(ms.rows_or(v)) for ms in step_syms))
         i += 1
 
     size = 1 + len(vectors)
     if size > (1 << d.size) + 1:
         raise RuntimeError(f"{size} states exceed the subset bound 2^{d.size} + 1")
-    accepting = {0} if sig.eps_in else set()
+    accepting = {0} if eps_in else set()
     accepting.update(
-        idx + 1 for idx, bits in enumerate(vectors) if bits & accept_bits
+        idx + 1 for idx, bits in enumerate(vectors) if acc.rows_or(bits) & final
     )
     return Dfa(d.alphabet, size, 0, frozenset(accepting), tuple(rows))
 
@@ -259,32 +243,52 @@ class FiltrationAtlas:
 
 
 def enumeration_window(d: Dfa) -> tuple[int, int]:
-    """Window (step_max, offset_bound) guaranteed to exhibit every
-    filtered-language signature of d.
+    """Window (step_max, offset_bound) that exhibits every filtered-language
+    signature of d in every family.
 
-    Steps: the stride matrix M^(a-1) cycles through the power orbit, and the
-    acceptance fold of the powers below a stops changing once all distinct
-    powers are in, so steps up to index+period cover every combination.
-    Offsets: the start row is orbit-periodic in b and the empty-word bit is
-    monotone, constant from the shortest accepted length on, so offsets
-    below max(index, shortest) + period cover the rest.
+    Let M's orbit have index i and period p, D = i + p = len(powers), and
+    lmin the shortest accepted length (0 for the empty language).
+
+    - Step half (stride position, fold): for a > D the fold is D and
+      reduce(a-1) = i + (a-1-i) mod p, so it repeats with period p in a,
+      and every step shares it with one in [1, D + p].
+    - Offset half (start row, empty-word bit): for b >= max(i, lmin) the
+      start row e_start * M^b repeats with period p in b and the bit is
+      constant, so every offset b shares it with a reduced offset
+      b' < offset_bound = max(i, lmin) + p.
+    - Weak, shift and strong pairs are therefore all covered once
+      step_max >= D + p, which holds as D <= offset_bound.
+    - Ordinary pairs (b < a): if a <= D then b < D <= offset_bound and the
+      pair is in the window already.  Otherwise the interval
+      (max(D, b'), max(D, b') + p] holds a step a' congruent to a mod p:
+      a' > D gives it the step half of a, a' > b' keeps (a', b')
+      ordinary, and a' <= offset_bound + p since D <= offset_bound and
+      b' < offset_bound.
+
+    Hence step_max = offset_bound + p.
     """
     _, m = incidence_matrices(d)
     orbit = power_orbit(m)
     shortest = d.shortest_word_length()
     lmin = 0 if shortest is None else shortest
-    step_max = orbit.index + orbit.period
     offset_bound = max(orbit.index, lmin) + orbit.period
-    return step_max, offset_bound
+    return offset_bound + orbit.period, offset_bound
 
 
 def enumerate_distinct_filtrations(d: Dfa, family: FilterFamily) -> FiltrationAtlas:
     """Build, minimize, and deduplicate the filtered language of every
-    family member inside the enumeration window."""
+    family member inside the enumeration window.  A pair whose signature
+    was already seen is skipped: equal signatures give equal languages,
+    so the entries and their first-producing pairs do not change."""
     step_max, offset_bound = enumeration_window(d)
+    signatures: set[tuple[int, int, int, bool]] = set()
     seen: set[Dfa] = set()
     entries: list[tuple[ArithFilter, Dfa]] = []
     for f in family.window_pairs(step_max, offset_bound):
+        sig = signature(d, f)
+        if sig in signatures:
+            continue
+        signatures.add(sig)
         canon = build_filtered_dfa(d, f).minimized()
         if canon not in seen:
             seen.add(canon)

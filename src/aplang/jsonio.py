@@ -60,6 +60,8 @@ def dfa_to_obj(d: Dfa) -> dict:
 
 
 def obj_to_dfa(obj: dict) -> Dfa:
+    if not isinstance(obj, dict):
+        raise ValueError("a DFA must be a JSON object")
     alphabet = _parse_alphabet(obj)
     size = _require(obj, "states", int)
     start = _require(obj, "start", int)
@@ -97,6 +99,8 @@ def nfa_to_obj(n: Nfa) -> dict:
 
 
 def obj_to_nfa(obj: dict) -> Nfa:
+    if not isinstance(obj, dict):
+        raise ValueError("an NFA must be a JSON object")
     alphabet = _parse_alphabet(obj)
     size = _require(obj, "states", int)
     initial = _require_ints(obj, "initial")

@@ -354,12 +354,6 @@ def verify_thm3(offset_range: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)) -> ClaimR
 # thm4: the diagonal NFA against both oracles
 
 
-def _single_word_dfa(text: str, alphabet: Alphabet) -> Dfa:
-    word = alphabet.word(text)
-    transitions = {(i, s): i + 1 for i, s in enumerate(word)}
-    return Dfa.build(alphabet, len(word) + 1, 0, [len(word)], transitions)
-
-
 def verify_thm4(
     seed: int = DEFAULT_SEED,
     pool_size: int = 30,
@@ -368,7 +362,10 @@ def verify_thm4(
     def body(result: ClaimResult) -> None:
         rng = random.Random(seed)
         ab = Alphabet(("a", "b"))
-        pool: list[tuple[str, Dfa]] = [("fixed witness {abba}", _single_word_dfa("abba", ab))]
+        abba = Dfa.build(
+            ab, 5, 0, [4], {(i, s): i + 1 for i, s in enumerate(ab.word("abba"))}
+        )
+        pool: list[tuple[str, Dfa]] = [("fixed witness {abba}", abba)]
         pool.extend(
             (f"random {i}", random_dfa(rng, 4, min_symbols=2, max_symbols=2))
             for i in range(pool_size)

@@ -20,6 +20,11 @@ def ab_star_dfa() -> Dfa:
     return Dfa.build(AB, 2, 0, [0], {(0, 0): 1, (1, 1): 0})
 
 
+def b_ab_star_dfa() -> Dfa:
+    """b(ab)*, as a 3-state complete automaton: start 1, accepting 0, dead 2."""
+    return Dfa.build(AB, 2, 1, [0], {(0, 0): 1, (1, 1): 0})
+
+
 def zeros_then_one_dfa() -> Dfa:
     """0*1 over {0, 1}."""
     return Dfa.build(ZO, 2, 0, [1], {(0, 0): 0, (0, 1): 1})

@@ -288,6 +288,6 @@ def test_alphabet_validation():
         Alphabet(())
     with pytest.raises(ValueError):
         Alphabet(("a", "a"))
-    assert Alphabet.from_string("abc").index("c") == 2
+    assert Alphabet(("a", "b", "c")).index("c") == 2
     with pytest.raises(ValueError):
         Alphabet(("a",)).index("b")

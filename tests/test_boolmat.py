@@ -5,15 +5,7 @@ import random
 import pytest
 
 from aplang.automata import Alphabet, Dfa
-from aplang.boolmat import (
-    BoolMatrix,
-    BoolVector,
-    dot,
-    incidence_matrices,
-    mat_vec_mul,
-    power_orbit,
-    vec_mat_mul,
-)
+from aplang.boolmat import BoolMatrix, incidence_matrices, power_orbit
 from aplang.verification import random_dfa
 
 from conftest import ab_star_dfa, universal_dfa
@@ -62,36 +54,23 @@ def test_dim_mismatch_rejected():
     b = BoolMatrix.identity(3)
     with pytest.raises(ValueError):
         a @ b
-    with pytest.raises(ValueError):
-        vec_mat_mul(BoolVector(3, 0b101), a)
-    with pytest.raises(ValueError):
-        dot(BoolVector(2, 1), BoolVector(3, 1))
 
 
 def test_unit_vector_picks_row():
     a = from_lists([[0, 1, 1], [1, 0, 0], [0, 0, 1]])
-    assert vec_mat_mul(BoolVector.unit(3, 0), a) == BoolVector(3, 0b110)
-    assert vec_mat_mul(BoolVector.unit(3, 1), a) == BoolVector(3, 0b001)
-
-
-def test_dot_with_zero_vector():
-    assert dot(BoolVector(4, 0b1010), BoolVector(4, 0)) == 0
-    assert dot(BoolVector(4, 0b1010), BoolVector(4, 0b0010)) == 1
+    assert a.rows_or(1 << 0) == 0b110
+    assert a.rows_or(1 << 1) == 0b001
+    # a vector selecting several rows gets their OR; the zero vector gets 0
+    assert a.rows_or(0b011) == 0b111
+    assert a.rows_or(0) == 0
 
 
 def test_ab_star_round_trip_through_letter_matrices():
     # stepping a then b from the start of (ab)* returns to the start state
     d = ab_star_dfa()
     mats, _ = incidence_matrices(d)
-    e0 = BoolVector.unit(d.size, d.start)
-    assert vec_mat_mul(vec_mat_mul(e0, mats[0]), mats[1]) == e0
-
-
-def test_mat_vec_mul_column_product():
-    a = from_lists([[0, 1], [1, 0]])
-    v = BoolVector(2, 0b01)  # bit 0 set
-    # row i meets v iff entry (i, 0) is 1
-    assert mat_vec_mul(a, v) == BoolVector(2, 0b10)
+    e0 = 1 << d.start
+    assert mats[1].rows_or(mats[0].rows_or(e0)) == e0
 
 
 def test_power_basics():
@@ -197,15 +176,14 @@ def test_incidence_one_hot_rows():
         for q in range(d.size):
             assert union.rows[q] == 0 or bin(union.rows[q]).count("1") >= 1
         # union is the entrywise OR of the letter matrices
-        acc = BoolMatrix.zero(d.size)
+        acc = BoolMatrix(d.size, (0,) * d.size)
         for mc in mats:
             acc = acc | mc
         assert acc == union
         # one-hot vectors stay one-hot under a letter matrix
         for q in range(d.size):
             for mc in mats:
-                out = vec_mat_mul(BoolVector.unit(d.size, q), mc)
-                assert bin(out.bits).count("1") == 1
+                assert bin(mc.rows_or(1 << q)).count("1") == 1
 
 
 def test_incidence_universal_dfa():

@@ -1,13 +1,18 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import aplang
 from aplang.cli import main
 from aplang.jsonio import dfa_to_obj, load_dfa, load_nfa, obj_to_dfa, save_dfa
 
-from conftest import AB, ab_star_dfa, universal_dfa
+from conftest import AB, ab_star_dfa, b_ab_star_dfa, universal_dfa
 
 
 def run_cli(capsys, *argv):
@@ -96,6 +101,19 @@ def test_filter_lang_wrongly_typed_field_exits_2(tmp_path, capsys, field, value)
     code, _, err = run_cli(capsys, "filter-lang", str(bad), "2", "0")
     assert code == 2
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"x"'])
+@pytest.mark.parametrize(
+    "command", [["filter-lang", "2", "0"], ["diag-nfa"]], ids=["filter-lang", "diag-nfa"]
+)
+def test_non_object_json_exits_2(tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, _, err = run_cli(capsys, command[0], str(bad), *command[1:])
+    assert code == 2
+    assert err.startswith("error:") and "must be a JSON object" in err
     assert "Traceback" not in err
 
 
@@ -210,3 +228,27 @@ def test_verify_thm4_seed_flag(capsys):
     assert code == 0
     assert "thm4: PASS" in out
     assert "gap-after-letter stepping diverges" in out
+
+
+# --- determinism ------------------------------------------------------------------
+
+
+def test_stdout_does_not_depend_on_hash_seed(tmp_path):
+    src = tmp_path / "b_ab_star.json"
+    save_dfa(b_ab_star_dfa(), str(src))
+    package_root = str(Path(aplang.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    for argv in (
+        ["enumerate-filtrations", str(src), "strong", "--format", "json"],
+        ["diag-nfa", str(src)],
+    ):
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "aplang", *argv],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                capture_output=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0] == outs[1] and outs[0], argv

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aplang.automata import Dfa
-from aplang.boolmat import BoolMatrix, BoolVector, incidence_matrices, power_orbit
+from aplang.boolmat import incidence_matrices, power_orbit
 from aplang.filtration import (
     ArithFilter,
     FilterFamily,
@@ -21,7 +21,14 @@ from aplang.filtration import (
 )
 from aplang.verification import random_dfa
 
-from conftest import AB, ab_star_dfa, empty_dfa, universal_dfa, zeros_then_one_dfa
+from conftest import (
+    AB,
+    ab_star_dfa,
+    b_ab_star_dfa,
+    empty_dfa,
+    universal_dfa,
+    zeros_then_one_dfa,
+)
 
 
 # --- word-level filtering ---------------------------------------------------
@@ -65,24 +72,24 @@ def test_filter_word_matches_index_spelling(w, a, b):
 
 
 def test_signature_identity_filter(ab_star):
-    sig = signature(ab_star, ArithFilter(1, 0))
-    n = ab_star.size
-    assert sig.step_matrix == BoolMatrix.identity(n)
-    assert sig.accept_or == BoolMatrix.identity(n)
-    assert sig.start_row == BoolVector.unit(n, ab_star.start)
-    assert sig.eps_in == (ab_star.start in ab_star.accepting)
+    assert signature(ab_star, ArithFilter(1, 0)) == (
+        0, 1, 1 << ab_star.start, ab_star.start in ab_star.accepting
+    )
 
 
 def test_signature_distinguishes_steps(ab_star):
     _, m = incidence_matrices(ab_star)
     orbit = power_orbit(m)
     # the transition-union matrix of the 3-state completion has orbit
-    # index 1, period 2, so M^3 folds back onto M and the signatures of
-    # steps 2 and 4 coincide (as do their languages, both a*)
+    # index 1, period 2, so M^3 and M^5 fold back onto M; from step 3 on
+    # the fold holds all three powers, so steps 4 and 6 share a signature
     assert (orbit.index, orbit.period) == (1, 2)
-    assert orbit.reduce(3) == 1
+    assert orbit.reduce(3) == orbit.reduce(5) == 1
     assert orbit.power(3) == orbit.power(1)
-    assert signature(ab_star, ArithFilter(2, 0)) == signature(ab_star, ArithFilter(4, 0))
+    assert signature(ab_star, ArithFilter(4, 0)) == signature(ab_star, ArithFilter(6, 0))
+    # step 2 has the same stride but a shorter fold; its language is a* too
+    assert signature(ab_star, ArithFilter(2, 0)) == (1, 2, 1, True)
+    assert signature(ab_star, ArithFilter(4, 0)) == (1, 3, 1, True)
     assert build_filtered_dfa(ab_star, ArithFilter(4, 0)).equivalent(
         build_filtered_dfa(ab_star, ArithFilter(2, 0))
     )
@@ -90,6 +97,19 @@ def test_signature_distinguishes_steps(ab_star):
     assert orbit.power(2) != orbit.power(1)
     assert signature(ab_star, ArithFilter(2, 0)) != signature(ab_star, ArithFilter(3, 0))
     assert signature(ab_star, ArithFilter(1, 0)) != signature(ab_star, ArithFilter(2, 0))
+
+
+def test_signature_fold_separates_equal_strides():
+    # words of even length: M swaps the two states, so steps 1 and 3 share
+    # the stride M^0 = M^2, but step 3 lets one or two trailing letters
+    # reach acceptance and so accepts every word; only the fold tells them
+    # apart, and equal signatures must mean equal languages
+    even = Dfa.build(AB, 2, 0, [0], {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
+    step1, step3 = ArithFilter(1, 0), ArithFilter(3, 0)
+    assert build_filtered_dfa(even, step1).minimized() != build_filtered_dfa(
+        even, step3
+    ).minimized()
+    assert signature(even, step1) != signature(even, step3)
 
 
 def test_signature_periodic_in_offset():
@@ -120,6 +140,21 @@ def test_signature_soundness_within_window():
             first = build_filtered_dfa(d, members[0]).minimized()
             for f in members[1:]:
                 assert build_filtered_dfa(d, f).minimized() == first
+
+
+def test_window_holds_every_signature():
+    # enumeration_window's docstring proves the window; a tripled window
+    # must add no signature in any family
+    rng = random.Random(30)
+    for _ in range(200):
+        d = random_dfa(rng, 5)
+        a_max, b_bound = enumeration_window(d)
+        for family in FilterFamily:
+            inside = {signature(d, f) for f in family.window_pairs(a_max, b_bound)}
+            tripled = {
+                signature(d, f) for f in family.window_pairs(3 * a_max, 3 * b_bound)
+            }
+            assert tripled == inside, (d, family)
 
 
 # --- construction vs oracle ---------------------------------------------------
@@ -256,6 +291,20 @@ def test_atlas_completeness_doubled_window():
                 2 * atlas.step_window + 1, 2 * atlas.offset_window
             ):
                 assert build_filtered_dfa(d, f).minimized() in forms
+
+
+def test_ordinary_atlas_reaches_past_index_plus_period():
+    # b(ab)* has orbit index 1 and period 2, but its filtration b* needs an
+    # even offset of at least 2 (to keep only b's and admit the empty word)
+    # and, to be ordinary, an even step above it: the first such pair is
+    # (4, 2), outside steps 1..index+period
+    d = b_ab_star_dfa()
+    b_star = Dfa.build(AB, 1, 0, [0], {(0, 1): 0}).minimized()
+    assert build_filtered_dfa(d, ArithFilter(4, 2)).minimized() == b_star
+    atlas = enumerate_distinct_filtrations(d, FilterFamily.ORDINARY)
+    assert len(atlas) == 7
+    assert b_star in atlas.canonical_forms()
+    assert atlas.entries[-1][0] == ArithFilter(4, 2)
 
 
 def test_atlas_entries_pairwise_distinct_and_family_consistent():
