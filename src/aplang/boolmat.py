@@ -49,11 +49,6 @@ class BoolMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 
-    def __or__(self, other: "BoolMatrix") -> "BoolMatrix":
-        if other.size != self.size:
-            raise ValueError("dimension mismatch")
-        return BoolMatrix(self.size, tuple(a | b for a, b in zip(self.rows, other.rows)))
-
     def rows_or(self, bits: int) -> int:
         """Row vector times matrix: the OR of the rows selected by bits."""
         acc = 0

@@ -2,8 +2,9 @@
 
 Subcommands: filter-word, filter-lang, enumerate-filtrations, diag,
 diag-nfa, verify.  Exit codes: 0 success / all claims pass, 1 verification
-failure, 2 usage or parse error, 3 file I/O error.  Standard output is
-byte-deterministic for fixed flags and seed; timing goes to stderr.
+failure, 2 usage or parse error, 3 file I/O error, 4 internal error.
+Standard output is byte-deterministic for fixed flags and seed; timing goes
+to stderr.
 """
 
 from __future__ import annotations
@@ -213,6 +214,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

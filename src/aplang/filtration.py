@@ -102,18 +102,18 @@ def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
 
     From the start state, symbol c leads to start_row * M_c; from a vector
     state v it leads to v * M^(step-1) * M_c.  A vector state accepts iff
-    v * (I | M | ... | M^(fold-1)) meets the accepting set, i.e. some
-    number of trailing free letters below the step reaches an accepting
-    source state; the start state accepts iff the empty word is filtered
-    in.
+    v meets near, the source states from which fewer than fold free
+    letters reach acceptance, i.e. some number of trailing free letters
+    below the step reaches an accepting source state; the start state
+    accepts iff the empty word is filtered in.
     """
     mats, m = incidence_matrices(d)
     powers = power_orbit(m).powers
     stride, fold, start_row, eps_in = signature(d, f)
     final = sum(1 << q for q in d.accepting)
-    acc = powers[0]
-    for p in powers[1:fold]:
-        acc = acc | p
+    near = sum(
+        1 << q for q in range(d.size) if any(p.rows[q] & final for p in powers[:fold])
+    )
     # fold the stride into per-symbol matrices so each transition is one product
     step_syms = [powers[stride] @ mc for mc in mats]
 
@@ -138,9 +138,7 @@ def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
     if size > (1 << d.size) + 1:
         raise RuntimeError(f"{size} states exceed the subset bound 2^{d.size} + 1")
     accepting = {0} if eps_in else set()
-    accepting.update(
-        idx + 1 for idx, bits in enumerate(vectors) if acc.rows_or(bits) & final
-    )
+    accepting.update(idx + 1 for idx, bits in enumerate(vectors) if bits & near)
     return Dfa(d.alphabet, size, 0, frozenset(accepting), tuple(rows))
 
 

@@ -468,35 +468,35 @@ def thm5_witness(t: int) -> str:
     return "".join(parts) + "j"
 
 
-def _thm5_segments(m: int, n: int, p: int) -> list[tuple]:
-    segs: list[tuple] = []
+def _thm5_units(m: int, n: int, p: int, total_len: int) -> list[tuple[str, int, int]]:
+    """The member shape for (m, n, p) as (letter, least, most) units: each
+    letter followed by a zero run of least..most zeros."""
+    units: list[tuple[str, int, int]] = []
     for (first, second, repeated), count in zip(_THM5_BLOCKS, (m, n, p)):
-        segs.append(("lit", first))
-        segs.append(("fixed", 3 * count + 1))
-        segs.append(("lit", second))
-        for _ in range(count - 2):
-            segs.append(("var",))
-            segs.append(("lit", repeated))
-        segs.append(("var",))
-    segs.append(("lit", "j"))
-    return segs
+        units.append((first, 3 * count + 1, 3 * count + 1))
+        units.append((second, 1, total_len))
+        units.extend([(repeated, 1, total_len)] * (count - 2))
+    units.append(("j", 0, 0))
+    return units
 
 
 def enumerate_thm5_by_length(
     total_len: int, diag_prefilter: Optional[str] = None
 ) -> Iterator[str]:
     """Every member of the three-block language with the exact total
-    length, ordered by (m, n, p) then by zero-run compositions.
+    length, ordered by (m, n, p) then by zero-run lengths, earlier runs
+    varying slowest.
 
-    With a prefilter (a word of length sqrt(total_len), "?" as wildcard),
-    any partial assignment whose already-placed diagonal letters mismatch
-    the pattern is pruned; diagonal positions sit at multiples of
-    sqrt(total_len) + 1.
+    A member is a sequence of letters, each followed by a zero run, so one
+    recursion places a letter and then tries each feasible run length.
+    With a prefilter (a word of length t = sqrt(total_len), "?" as
+    wildcard) the pattern pins letters at the diagonal positions, the
+    multiples of t + 1: a letter is placed only where the pin allows it,
+    and a zero run stops before the first pinned non-zero letter.
     """
     if total_len < 0:
         raise ValueError("total_len must be non-negative")
-    pattern: Optional[tuple[Optional[str], ...]] = None
-    diag_step = 0
+    pinned: list[Optional[str]] = [None] * (total_len + 1)
     if diag_prefilter is not None:
         t = isqrt(total_len)
         if t == 0 or t * t != total_len:
@@ -506,52 +506,34 @@ def enumerate_thm5_by_length(
         allowed = set(THM5_ALPHABET.names) | {"?"}
         if any(ch not in allowed for ch in diag_prefilter):
             raise ValueError("prefilter may use alphabet letters and '?' only")
-        pattern = tuple(None if ch == "?" else ch for ch in diag_prefilter)
-        diag_step = t + 1
+        for k, ch in enumerate(diag_prefilter):
+            if ch != "?":
+                pinned[k * (t + 1)] = ch
+    # zero_end[pos]: the first position at or after pos that may not hold a zero
+    zero_end = [total_len] * (total_len + 1)
+    for pos in range(total_len - 1, -1, -1):
+        zero_end[pos] = pos if pinned[pos] not in (None, "0") else zero_end[pos + 1]
 
-    def lit_ok(pos: int, ch: str) -> bool:
-        if pattern is None or pos % diag_step:
-            return True
-        want = pattern[pos // diag_step]
-        return want is None or want == ch
+    # emit reads the current (m, n, p) shape: its units, the fewest symbols
+    # rest[i] that units i, i+1, ... take, and the letters and runs placed
+    parts: list[str] = []
 
-    def run_ok(pos: int, length: int) -> bool:
-        if pattern is None:
-            return True
-        d = -(-pos // diag_step) * diag_step
-        while d < pos + length:
-            want = pattern[d // diag_step]
-            if want is not None and want != "0":
-                return False
-            d += diag_step
-        return True
-
-    def emit(segs: list[tuple], suffix_min: list[int], idx: int, pos: int, parts: list[str]) -> Iterator[str]:
-        if idx == len(segs):
+    def emit(idx: int, pos: int) -> Iterator[str]:
+        if idx == len(units):
             if pos == total_len:
                 yield "".join(parts)
             return
-        seg = segs[idx]
-        if seg[0] == "lit":
-            ch = seg[1]
-            if pos + suffix_min[idx] <= total_len and lit_ok(pos, ch):
-                parts.append(ch)
-                yield from emit(segs, suffix_min, idx + 1, pos + 1, parts)
-                parts.pop()
-        elif seg[0] == "fixed":
-            length = seg[1]
-            if pos + suffix_min[idx] <= total_len and run_ok(pos, length):
-                parts.append("0" * length)
-                yield from emit(segs, suffix_min, idx + 1, pos + length, parts)
-                parts.pop()
-        else:  # variable zero run, length >= 1
-            slack = total_len - pos - suffix_min[idx]
-            for extra in range(slack + 1):
-                length = 1 + extra
-                if run_ok(pos, length):
-                    parts.append("0" * length)
-                    yield from emit(segs, suffix_min, idx + 1, pos + length, parts)
-                    parts.pop()
+        letter, least, most = units[idx]
+        if pinned[pos] not in (None, letter):
+            return
+        pos += 1
+        top = min(most, total_len - pos - rest[idx + 1], zero_end[pos] - pos)
+        parts.append(letter)
+        for length in range(least, top + 1):
+            parts.append("0" * length)
+            yield from emit(idx + 1, pos + length)
+            parts.pop()
+        parts.pop()
 
     m = 3
     while 5 * m + 31 <= total_len:
@@ -559,13 +541,11 @@ def enumerate_thm5_by_length(
         while 5 * m + 5 * n + 16 <= total_len:
             p = 3
             while 5 * m + 5 * n + 5 * p + 1 <= total_len:
-                segs = _thm5_segments(m, n, p)
-                suffix_min = [0] * (len(segs) + 1)
-                for i in range(len(segs) - 1, -1, -1):
-                    seg = segs[i]
-                    weight = seg[1] if seg[0] == "fixed" else 1
-                    suffix_min[i] = suffix_min[i + 1] + weight
-                yield from emit(segs, suffix_min, 0, 0, [])
+                units = _thm5_units(m, n, p, total_len)
+                rest = [0] * (len(units) + 1)
+                for i in range(len(units) - 1, -1, -1):
+                    rest[i] = rest[i + 1] + 1 + units[i][1]
+                yield from emit(0, 0)
                 p += 1
             n += 1
         m += 1

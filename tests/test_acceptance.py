@@ -31,6 +31,7 @@ from aplang.grammar import THM2_ALPHABET, THM2_GRAMMAR, enumerate_cfg_words, in_
 from aplang.verification import (
     DEFAULT_SEED,
     random_dfa,
+    verify_thm1,
     verify_thm2,
     verify_thm3,
     verify_thm4,
@@ -101,6 +102,18 @@ def test_criterion_4_state_bound():
                 assert built.size <= bound
                 worst = max(worst, built.size)
     report(f"criterion 4: PASS - pre-minimization sizes <= 2^n + 1 (worst {worst})")
+
+
+def test_criterion_4_bound_violation_is_a_fail(monkeypatch):
+    # the builder raises past 2^n + 1 states; thm1 reports that as FAIL
+    def over_bound(d, f):
+        raise RuntimeError(f"{(1 << d.size) + 2} states exceed the subset bound")
+
+    monkeypatch.setattr(aplang.verification, "build_filtered_dfa", over_bound)
+    result = verify_thm1(pool_size=1, finiteness_pool=0)
+    assert result.outcome == "FAIL"
+    assert result.witness.startswith("automaton 0, (a=1, b=0): ")
+    assert "exceed the subset bound" in result.witness
 
 
 def _thm2_sections() -> dict[int, frozenset[str]]:

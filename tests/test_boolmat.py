@@ -176,10 +176,11 @@ def test_incidence_one_hot_rows():
         for q in range(d.size):
             assert union.rows[q] == 0 or bin(union.rows[q]).count("1") >= 1
         # union is the entrywise OR of the letter matrices
-        acc = BoolMatrix(d.size, (0,) * d.size)
-        for mc in mats:
-            acc = acc | mc
-        assert acc == union
+        for q in range(d.size):
+            acc = 0
+            for mc in mats:
+                acc |= mc.rows[q]
+            assert acc == union.rows[q]
         # one-hot vectors stay one-hot under a letter matrix
         for q in range(d.size):
             for mc in mats:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import aplang
+import aplang.cli
 from aplang.cli import main
 from aplang.jsonio import dfa_to_obj, load_dfa, load_nfa, obj_to_dfa, save_dfa
 
@@ -121,6 +122,20 @@ def test_filter_lang_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "filter-lang", str(tmp_path / "nope.json"), "2", "0")
     assert code == 3
     assert "error" in err
+
+
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(d, f):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(aplang.cli, "build_filtered_dfa", broken)
+    src = tmp_path / "u.json"
+    save_dfa(universal_dfa(), src)
+    code, out, err = run_cli(capsys, "filter-lang", str(src), "2", "0")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: RuntimeError: boom\n"
+    assert "Traceback" not in err
 
 
 # --- enumerate-filtrations ------------------------------------------------------

@@ -276,21 +276,36 @@ def test_enumerator_prefilter_validation():
         list(enumerate_thm5_by_length(-1))
 
 
-def test_enumerator_prefilter_prunes_consistently():
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        "a0?0?0j",
+        "?b?????",  # a letter inside the fixed 3c+1 run after a: no member
+        "0??????",  # a zero where every member has its first letter
+        "??0?0??",  # zeros where some members have d or g
+        "??d?g?j",
+        "???j???",  # j before the end: no member
+    ],
+)
+def test_enumerator_prefilter_prunes_consistently(pattern):
     # with a prefilter the yields are exactly the unfiltered members whose
-    # diagonals match the pattern
+    # diagonals match the pattern, in the unfiltered order
     from aplang.diag import diag_word
 
-    full = set(enumerate_thm5_by_length(49))
+    full = list(enumerate_thm5_by_length(49))
     assert full  # 49 = 7^2 admits members
-    pattern = "a0?0?0j"
-    filtered = set(enumerate_thm5_by_length(49, pattern))
-    expected = set()
+    filtered = list(enumerate_thm5_by_length(49, pattern))
+    expected = []
     for w in full:
         d = diag_word(w)
         if all(pc in ("?", dc) for pc, dc in zip(pattern, d)):
-            expected.add(w)
+            expected.append(w)
     assert filtered == expected
+
+
+def test_enumerator_counts_the_y100_sweep():
+    # the |y|=100 step of verify thm5 reports this count
+    assert sum(1 for _ in enumerate_thm5_by_length(100, "ab?de?gh?j")) == 6859
 
 
 def test_enumerator_witness_is_found_with_staircase_prefilter():
