@@ -39,6 +39,13 @@ def _offset(text: str) -> int:
     return value
 
 
+def _length(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("max-len must be non-negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="aplang",
@@ -72,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dfa_file")
     p.add_argument("family", choices=[f.value for f in FilterFamily])
     p.add_argument(
-        "--max-len", type=int, default=5, help="sample word length (default 5)"
+        "--max-len", type=_length, default=5, help="sample word length (default 5)"
     )
     p.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -90,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--deep", action="store_true", help="include the |y|=169 sweep")
     p.add_argument(
-        "--max-len", type=int, default=7, help="oracle word length for thm1"
+        "--max-len",
+        type=_length,
+        default=7,
+        help="word length thm1 checks (default 7); cost is not exponential in it",
     )
     p.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -173,7 +183,9 @@ def _cmd_diag_nfa(args: argparse.Namespace) -> int:
     if args.out:
         save_nfa(nfa, args.out)
     else:
-        print(json.dumps(nfa_to_obj(nfa), indent=2, sort_keys=True))
+        # streamed: the NFA's JSON text is never held whole in memory
+        json.dump(nfa_to_obj(nfa), sys.stdout, indent=2, sort_keys=True)
+        print()
     return 0
 
 

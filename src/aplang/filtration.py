@@ -5,14 +5,16 @@ construction lifts this to a regular language: states are boolean row
 vectors over the source DFA's state set, stepped by cached powers of the
 transition-union matrix, so any (a, b), however large, costs the same.
 A word-level oracle recomputes filtered languages by direct state-set
-simulation, sharing nothing with the matrix construction.
+simulation, sharing nothing with the matrix construction; walking a built
+automaton in lockstep with that simulation finds the least word on which
+the two disagree without listing words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator, Optional, Sequence, TypeVar
 
 from .automata import Dfa, Word
 from .boolmat import incidence_matrices, power_orbit
@@ -142,6 +144,71 @@ def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
     return Dfa(d.alphabet, size, 0, frozenset(accepting), tuple(rows))
 
 
+class _SourceWalk:
+    """The source DFA walked with concrete state sets, the shared core of
+    the word-level oracles; it knows nothing of the matrix construction.
+
+    A node stands for every filtered word that leads to it: None for the
+    empty word, otherwise the set of source states the unfiltered sources
+    of a word can end in, right after its last kept letter.  The empty
+    word's sources are all reached by the offset prefix of free letters;
+    a kept letter c follows the prefix (from None) or step-1 free letters
+    (from a set) and then reads c.  A set accepts iff fewer than step
+    trailing free letters reach an accepting state; None accepts iff some
+    accepted source fits inside the offset.
+    """
+
+    def __init__(self, d: Dfa, f: ArithFilter) -> None:
+        self._delta = d.delta
+        self._final = d.accepting
+        self._step = f.step
+        self._free: dict[frozenset[int], frozenset[int]] = {}
+        self._kept: dict[tuple[Optional[frozenset[int]], int], frozenset[int]] = {}
+        self._accepts: dict[frozenset[int], bool] = {}
+        current = frozenset((d.start,))
+        self._eps = bool(current & self._final)
+        for _ in range(f.offset):
+            current = self._free_letter(current)
+            self._eps = self._eps or bool(current & self._final)
+        self._entry = current
+
+    def _free_letter(self, states: frozenset[int]) -> frozenset[int]:
+        cached = self._free.get(states)
+        if cached is None:
+            cached = frozenset(t for q in states for t in self._delta[q])
+            self._free[states] = cached
+        return cached
+
+    def step(self, node: Optional[frozenset[int]], c: int) -> frozenset[int]:
+        """The node reached from node by the kept letter c."""
+        key = (node, c)
+        cached = self._kept.get(key)
+        if cached is None:
+            if node is None:
+                gap = self._entry
+            else:
+                gap = node
+                for _ in range(self._step - 1):
+                    gap = self._free_letter(gap)
+            cached = frozenset(self._delta[q][c] for q in gap)
+            self._kept[key] = cached
+        return cached
+
+    def accepts(self, node: Optional[frozenset[int]]) -> bool:
+        if node is None:
+            return self._eps
+        cached = self._accepts.get(node)
+        if cached is None:
+            states = node
+            for _ in range(self._step - 1):
+                if states & self._final:
+                    break
+                states = self._free_letter(states)
+            cached = bool(states & self._final)
+            self._accepts[node] = cached
+        return cached
+
+
 def filtered_language_oracle(d: Dfa, f: ArithFilter, max_len: int) -> set[Word]:
     """Filtered words of length <= max_len, recomputed independently of the
     matrix construction.
@@ -153,74 +220,78 @@ def filtered_language_oracle(d: Dfa, f: ArithFilter, max_len: int) -> set[Word]:
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    k = len(d.alphabet)
-    delta = d.delta
-    final = d.accepting
-
-    free_memo: dict[frozenset[int], frozenset[int]] = {}
-
-    def free(states: frozenset[int]) -> frozenset[int]:
-        cached = free_memo.get(states)
-        if cached is None:
-            nxt: set[int] = set()
-            for q in states:
-                nxt.update(delta[q])
-            cached = frozenset(nxt)
-            free_memo[states] = cached
-        return cached
-
-    kept_memo: dict[tuple[frozenset[int], int], frozenset[int]] = {}
-
-    def kept(states: frozenset[int], c: int) -> frozenset[int]:
-        key = (states, c)
-        cached = kept_memo.get(key)
-        if cached is None:
-            cached = frozenset(delta[q][c] for q in states)
-            kept_memo[key] = cached
-        return cached
-
-    out: set[Word] = set()
-    current = frozenset((d.start,))
-    eps = False
-    for i in range(f.offset + 1):
-        if current & final:
-            eps = True
-        if i < f.offset:
-            current = free(current)
-    if eps:
-        out.add(())
-
-    def can_accept(states: frozenset[int]) -> bool:
-        s = states
-        for j in range(f.step):
-            if s & final:
-                return True
-            if j < f.step - 1:
-                s = free(s)
-        return False
-
-    level: dict[Word, frozenset[int]] = {}
-    for c in range(k):
-        t = kept(current, c)
-        if t:
-            level[(c,)] = t
-    for length in range(1, max_len + 1):
-        for w, states in level.items():
-            if can_accept(states):
-                out.add(w)
-        if length == max_len:
-            break
-        nxt_level: dict[Word, frozenset[int]] = {}
-        for w, states in level.items():
-            gap = states
-            for _ in range(f.step - 1):
-                gap = free(gap)
-            for c in range(k):
-                t = kept(gap, c)
-                if t:
-                    nxt_level[w + (c,)] = t
-        level = nxt_level
+    walk = _SourceWalk(d, f)
+    symbols = range(len(d.alphabet))
+    out: set[Word] = {()} if walk.accepts(None) else set()
+    level: dict[Word, Optional[frozenset[int]]] = {(): None}
+    for _ in range(max_len):
+        level = {w + (c,): walk.step(node, c) for w, node in level.items() for c in symbols}
+        out.update(w for w, node in level.items() if walk.accepts(node))
     return out
+
+
+def first_disagreement(d: Dfa, f: ArithFilter, dfa: Dfa, max_len: int) -> Optional[Word]:
+    """The tuple-least word of length <= max_len that dfa and the filtered
+    language of d disagree on, or None if they agree on all of them; the
+    same answer as sorted(set(dfa.enumerate_accepted(max_len)) ^
+    filtered_language_oracle(d, f, max_len))[0], without listing words.
+
+    dfa is walked in lockstep with the oracle's source walk, each
+    (dfa state, source node) pair once, breadth first to depth max_len.
+    A backward search from the pairs whose acceptance differs gives each
+    pair's distance to the nearest disagreement, and the witness is read
+    off greedily: stop at a disagreeing pair, else take the least letter
+    whose pair still has a disagreement within the remaining length.  The
+    cost is bounded by the reachable pairs, not by the number of words.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    if dfa.alphabet != d.alphabet:
+        raise ValueError("alphabet mismatch")
+    walk = _SourceWalk(d, f)
+    symbols = range(len(d.alphabet))
+    start = (dfa.start, None)
+    succ: dict[tuple, tuple[tuple, ...]] = {}
+    preds: dict[tuple, list[tuple]] = {}
+    seen = {start}
+    layer = [start]
+    for _ in range(max_len):
+        if not layer:
+            break
+        nxt = []
+        for pair in layer:
+            q, node = pair
+            succ[pair] = tuple((dfa.delta[q][c], walk.step(node, c)) for c in symbols)
+            for t in succ[pair]:
+                preds.setdefault(t, []).append(pair)
+                if t not in seen:
+                    seen.add(t)
+                    nxt.append(t)
+        layer = nxt
+
+    frontier = [p for p in seen if (p[0] in dfa.accepting) != walk.accepts(p[1])]
+    dist = dict.fromkeys(frontier, 0)
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for t in frontier:
+            for pair in preds.get(t, ()):
+                if pair not in dist:
+                    dist[pair] = depth
+                    nxt.append(pair)
+        frontier = nxt
+
+    if dist.get(start, max_len + 1) > max_len:
+        return None
+    word: list[int] = []
+    pair = start
+    while dist[pair]:
+        budget = max_len - len(word) - 1
+        c = next(c for c, t in enumerate(succ[pair]) if dist.get(t, budget + 1) <= budget)
+        word.append(c)
+        pair = succ[pair][c]
+    return tuple(word)
 
 
 @dataclass(frozen=True)

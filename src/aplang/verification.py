@@ -43,7 +43,7 @@ from .filtration import (
     build_filtered_dfa,
     enumerate_distinct_filtrations,
     filter_word,
-    filtered_language_oracle,
+    first_disagreement,
 )
 from .grammar import (
     THM2_ALPHABET,
@@ -161,10 +161,8 @@ def verify_thm1(
                         result.outcome = "FAIL"
                         result.witness = f"automaton {i}, {f}: {exc}"
                         return
-                    got = set(built.enumerate_accepted(max_len))
-                    want = filtered_language_oracle(d, f, max_len)
-                    if got != want:
-                        diff = sorted(got ^ want)[0]
+                    diff = first_disagreement(d, f, built, max_len)
+                    if diff is not None:
                         result.outcome = "FAIL"
                         result.witness = (
                             f"automaton {i}, {f}: construction and oracle "
@@ -201,7 +199,7 @@ def verify_thm1(
                 key = family.value
                 atlas_sizes[key] = max(atlas_sizes.get(key, 0), len(atlas))
         summary = ", ".join(
-            f"{fam.value} <= {atlas_sizes[fam.value]}" for fam in FilterFamily
+            f"{fam.value} <= {atlas_sizes.get(fam.value, 0)}" for fam in FilterFamily
         )
         result.details.append(
             f"finiteness: {finiteness_pool} random automata, each atlas closed "

@@ -11,7 +11,15 @@ import pytest
 import aplang
 import aplang.cli
 from aplang.cli import main
-from aplang.jsonio import dfa_to_obj, load_dfa, load_nfa, obj_to_dfa, save_dfa
+from aplang.diag import build_diag_nfa
+from aplang.jsonio import (
+    dfa_to_obj,
+    load_dfa,
+    load_nfa,
+    nfa_to_obj,
+    obj_to_dfa,
+    save_dfa,
+)
 
 from conftest import AB, ab_star_dfa, b_ab_star_dfa, universal_dfa
 
@@ -208,6 +216,16 @@ def test_diag_nfa_command(tmp_path, capsys):
     assert not nfa.accepts(())
 
 
+def test_diag_nfa_stdout_is_the_json_dump(tmp_path, capsys):
+    src = tmp_path / "b_ab.json"
+    save_dfa(b_ab_star_dfa(), str(src))
+    code, out, _ = run_cli(capsys, "diag-nfa", str(src))
+    assert code == 0
+    nfa = build_diag_nfa(load_dfa(str(src)))
+    dump = json.dumps(nfa_to_obj(nfa), indent=2, sort_keys=True)
+    assert out == f"states: {nfa.size}\n{dump}\n"
+
+
 # --- verify ----------------------------------------------------------------------
 
 
@@ -238,6 +256,19 @@ def test_verify_json_format(capsys):
     assert obj["claims"][0]["outcome"] == "PASS"
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "all"], ["enumerate-filtrations", "no-such.json", "strong"]]
+)
+def test_negative_max_len_is_a_usage_error(capsys, argv):
+    # rejected while parsing, before any claim runs or any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-len", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "argument --max-len: max-len must be non-negative" in err
+
+
 def test_verify_thm4_seed_flag(capsys):
     code, out, _ = run_cli(capsys, "verify", "thm4", "--seed", "7")
     assert code == 0
@@ -253,17 +284,18 @@ def test_stdout_does_not_depend_on_hash_seed(tmp_path):
     save_dfa(b_ab_star_dfa(), str(src))
     package_root = str(Path(aplang.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    for argv in (
-        ["enumerate-filtrations", str(src), "strong", "--format", "json"],
-        ["diag-nfa", str(src)],
+    for argv, code in (
+        (["enumerate-filtrations", str(src), "strong", "--format", "json"], 0),
+        (["diag-nfa", str(src)], 0),
+        (["verify", "all", "--format", "json"], 1),  # the documented thm2 FAIL
     ):
-        outs = [
+        runs = [
             subprocess.run(
                 [sys.executable, "-m", "aplang", *argv],
                 env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
                 capture_output=True,
-                check=True,
-            ).stdout
+            )
             for seed in ("0", "1")
         ]
-        assert outs[0] == outs[1] and outs[0], argv
+        assert [r.returncode for r in runs] == [code, code], argv
+        assert runs[0].stdout == runs[1].stdout and runs[0].stdout, argv

@@ -2,11 +2,13 @@
 finite atlas of distinct filtered languages."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aplang.verification
 from aplang.automata import Dfa
 from aplang.boolmat import incidence_matrices, power_orbit
 from aplang.filtration import (
@@ -17,9 +19,10 @@ from aplang.filtration import (
     enumeration_window,
     filter_word,
     filtered_language_oracle,
+    first_disagreement,
     signature,
 )
-from aplang.verification import random_dfa
+from aplang.verification import DEFAULT_SEED, random_dfa, run_claims, verify_thm1
 
 from conftest import (
     AB,
@@ -235,6 +238,93 @@ def test_oracle_identity_filter_is_enumeration():
 
 def test_oracle_empty_language():
     assert filtered_language_oracle(empty_dfa(), ArithFilter(3, 2), 5) == set()
+
+
+# --- the product walk ----------------------------------------------------------
+
+
+def word_set_witness(d, f, dfa, max_len):
+    """The witness by listing words: the least word in the symmetric
+    difference, or None."""
+    diff = set(dfa.enumerate_accepted(max_len)) ^ filtered_language_oracle(d, f, max_len)
+    return min(diff) if diff else None
+
+
+def flip_last_state(d, f):
+    built = build_filtered_dfa(d, f)
+    return replace(built, accepting=built.accepting ^ {built.size - 1})
+
+
+def test_first_disagreement_matches_word_sets_on_mutants():
+    rng = random.Random(31)
+    witnesses = set()
+    for _ in range(400):
+        d = random_dfa(rng, 5)
+        f = ArithFilter(rng.randint(1, 4), rng.randint(0, 4))
+        max_len = rng.randint(0, 7)
+        built = build_filtered_dfa(d, f)
+        assert first_disagreement(d, f, built, max_len) is None
+        mutant = replace(built, accepting=built.accepting ^ {rng.randrange(built.size)})
+        want = word_set_witness(d, f, mutant, max_len)
+        assert first_disagreement(d, f, mutant, max_len) == want
+        witnesses.add(want)
+    # both verdicts occur, and witnesses of several lengths
+    assert None in witnesses
+    assert len({len(w) for w in witnesses if w is not None}) >= 4
+
+
+def test_first_disagreement_on_dropped_empty_word(zeros_then_one):
+    # the criterion-9b mutant: the empty word is filtered in, but not built in
+    f = ArithFilter(1, 2)
+    built = build_filtered_dfa(zeros_then_one, f)
+    assert first_disagreement(zeros_then_one, f, built, 4) is None
+    mutant = replace(built, accepting=built.accepting - {0})
+    assert first_disagreement(zeros_then_one, f, mutant, 4) == ()
+
+
+def test_word_oracles_reject_negative_lengths(ab_star):
+    f = ArithFilter(2, 1)
+    built = build_filtered_dfa(ab_star, f)
+    with pytest.raises(ValueError):
+        filtered_language_oracle(ab_star, f, -1)
+    with pytest.raises(ValueError):
+        first_disagreement(ab_star, f, built, -1)
+
+
+def test_thm1_fails_with_the_word_set_witness(monkeypatch):
+    monkeypatch.setattr(aplang.verification, "build_filtered_dfa", flip_last_state)
+    result = verify_thm1(finiteness_pool=0)
+    assert result.outcome == "FAIL"
+    rng = random.Random(DEFAULT_SEED)
+    cells = (
+        (i, d, ArithFilter(a, b))
+        for i, d in enumerate(random_dfa(rng, 5) for _ in range(50))
+        for a in range(1, 5)
+        for b in range(5)
+    )
+    for i, d, f in cells:
+        diff = word_set_witness(d, f, flip_last_state(d, f), 7)
+        if diff is not None:
+            break
+    assert diff != ()
+    assert result.witness == (
+        f"automaton {i}, {f}: construction and oracle "
+        f"disagree on {d.alphabet.format(diff)!r}"
+    )
+
+
+def test_thm1_at_length_1000_needs_no_recursion():
+    report = run_claims(("thm1",), max_len=1000)
+    assert report.all_pass
+    assert "words to length 1000: 1000 cells agree exactly" in report.results[0].details[0]
+
+
+def test_thm1_without_a_finiteness_pool():
+    result = verify_thm1(pool_size=2, finiteness_pool=0)
+    assert result.outcome == "PASS"
+    assert result.details[-1].endswith(
+        "(max distinct languages: weak <= 0, ordinary <= 0, strong <= 0, shift <= 0)"
+    )
 
 
 def test_huge_parameters_stay_cheap(ab_star):

@@ -17,3 +17,26 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_word_oracles_share_nothing_with_the_construction():
+    # an oracle only checks the construction while it stays independent of it
+    oracles = {"_SourceWalk", "filtered_language_oracle", "first_disagreement"}
+    construction = {
+        "BoolMatrix",
+        "build_filtered_dfa",
+        "incidence_matrices",
+        "power_orbit",
+        "signature",
+    }
+    tree = ast.parse((SRC / "filtration.py").read_text(encoding="utf-8"))
+    defs = [node for node in tree.body if getattr(node, "name", None) in oracles]
+    assert {node.name for node in defs} == oracles
+    used = {
+        (node.name, name)
+        for node in defs
+        for sub in ast.walk(node)
+        for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
+        if name in construction
+    }
+    assert used == set()
