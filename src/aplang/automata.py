@@ -142,51 +142,44 @@ class Dfa:
                     queue.append(t)
         return None
 
-    def _distance_to_accepting(self) -> list[float]:
-        """Per-state shortest distance to an accepting state (inf if none)."""
-        k = len(self.alphabet)
-        back: list[list[int]] = [[] for _ in range(self.size)]
-        for q in range(self.size):
-            for c in range(k):
-                back[self.delta[q][c]].append(q)
-        dist: list[float] = [float("inf")] * self.size
-        queue = deque()
-        for q in self.accepting:
-            dist[q] = 0
-            queue.append(q)
-        while queue:
-            q = queue.popleft()
-            for p in back[q]:
-                if dist[p] == float("inf"):
-                    dist[p] = dist[q] + 1
-                    queue.append(p)
-        return dist
+    def enumerate_accepted(self, max_len: int, limit: Optional[int] = None) -> list[Word]:
+        """The accepted words of length <= max_len in length-then-lexicographic
+        order (symbols in alphabet order), or the first `limit` of them.
 
-    def enumerate_accepted(self, max_len: int) -> list[Word]:
-        """Exactly the accepted words of length <= max_len, in
-        length-then-lexicographic order (symbols in alphabet order)."""
+        Words of each length are grown depth first, letter by letter, only
+        into states that reach acceptance in exactly the letters left, so
+        every branch ends in a word and the cost follows the words listed.
+        """
         if max_len < 0:
             raise ValueError("max_len must be non-negative")
+        if limit is not None and limit < 1:
+            raise ValueError("limit must be positive")
         k = len(self.alphabet)
-        dist = self._distance_to_accepting()
+        # live[r]: the states from which some word of exactly r letters is accepted
+        live = [self.accepting]
         out: list[Word] = []
-        layer: list[tuple[Word, int]] = []
-        if dist[self.start] <= max_len:
-            layer.append(((), self.start))
         for length in range(max_len + 1):
-            for w, q in layer:
-                if q in self.accepting:
-                    out.append(w)
-            if length == max_len:
+            if length:
+                live.append(frozenset(
+                    q for q in range(self.size) if any(t in live[-1] for t in self.delta[q])
+                ))
+            if not live[-1]:
                 break
-            nxt: list[tuple[Word, int]] = []
-            budget = max_len - length - 1
-            for w, q in layer:
-                for c in range(k):
+            if self.start not in live[-1]:
+                continue
+            stack: list[tuple[Word, int]] = [((), self.start)]
+            while stack:
+                w, q = stack.pop()
+                left = length - len(w)
+                if not left:
+                    out.append(w)
+                    if len(out) == limit:
+                        return out
+                    continue
+                for c in reversed(range(k)):
                     t = self.delta[q][c]
-                    if dist[t] <= budget:
-                        nxt.append((w + (c,), t))
-            layer = nxt
+                    if t in live[left - 1]:
+                        stack.append((w + (c,), t))
         return out
 
     def equivalent(self, other: "Dfa") -> bool:
@@ -199,52 +192,54 @@ class Dfa:
         """Unique minimal complete DFA in canonical form: states renumbered
         by breadth-first discovery order from the start state, scanning
         symbols in alphabet order."""
-        k = len(self.alphabet)
-        # restrict to reachable states, in BFS discovery order
         order = [self.start]
-        seen = {self.start: 0}
+        seen = {self.start}
         for q in order:
-            for c in range(k):
-                t = self.delta[q][c]
+            for t in self.delta[q]:
                 if t not in seen:
-                    seen[t] = len(order)
+                    seen.add(t)
                     order.append(t)
-        # Moore partition refinement
-        block = {q: (0 if q in self.accepting else 1) for q in order}
-        nblocks = len(set(block.values()))
+        return self.canonical_from(self.language_classes(order), self.start)
+
+    def language_classes(self, states: Iterable[int]) -> dict[int, int]:
+        """Moore partition refinement: a class number for each given state,
+        equal exactly when the states accept the same language.  The given
+        states must be closed under the transitions."""
+        states = list(states)
+        delta = self.delta
+        block = {q: (0 if q in self.accepting else 1) for q in states}
+        count = len(set(block.values()))
         while True:
-            keys = {
-                q: (block[q], tuple(block[self.delta[q][c]] for c in range(k)))
-                for q in order
-            }
             relabel: dict[tuple, int] = {}
-            for q in order:
-                relabel.setdefault(keys[q], len(relabel))
-            block = {q: relabel[keys[q]] for q in order}
-            if len(relabel) == nblocks:
-                break
-            nblocks = len(relabel)
-        # quotient, then canonical BFS renumbering
-        rep: dict[int, int] = {}
-        for q in order:
-            rep.setdefault(block[q], q)
-        new_index = {block[self.start]: 0}
-        new_order = [block[self.start]]
-        for b in new_order:
-            q = rep[b]
-            for c in range(k):
-                tb = block[self.delta[q][c]]
-                if tb not in new_index:
-                    new_index[tb] = len(new_order)
-                    new_order.append(tb)
-        rows = tuple(
-            tuple(new_index[block[self.delta[rep[b]][c]]] for c in range(k))
-            for b in new_order
-        )
-        accepting = frozenset(
-            new_index[b] for b in new_order if rep[b] in self.accepting
-        )
-        return Dfa(self.alphabet, len(new_order), 0, accepting, rows)
+            block = {
+                q: relabel.setdefault(
+                    (block[q], tuple(block[t] for t in delta[q])), len(relabel)
+                )
+                for q in states
+            }
+            if len(relabel) == count:
+                return block
+            count = len(relabel)
+
+    def canonical_from(self, classes: Mapping[int, int], start: int) -> "Dfa":
+        """The canonical minimal DFA of the language accepted from `start`,
+        given the language classes of every state reachable from it: one
+        state per class, numbered in breadth-first discovery order from
+        `start`'s class, scanning symbols in alphabet order."""
+        index = {classes[start]: 0}
+        reps = [start]
+        rows = []
+        for q in reps:
+            row = []
+            for t in self.delta[q]:
+                b = classes[t]
+                if b not in index:
+                    index[b] = len(reps)
+                    reps.append(t)
+                row.append(index[b])
+            rows.append(tuple(row))
+        accepting = frozenset(i for i, q in enumerate(reps) if q in self.accepting)
+        return Dfa(self.alphabet, len(reps), 0, accepting, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,9 @@ class PowerOrbit:
         return self.powers[self.reduce(k)]
 
 
-@lru_cache(maxsize=None)
+# Callers work through one automaton's matrix at a time, so a small bound
+# keeps every reuse while capping the memory of long-lived processes.
+@lru_cache(maxsize=32)
 def power_orbit(a: BoolMatrix) -> PowerOrbit:
     """Minimal (index, period) with A^(index+period) = A^index, plus all
     distinct powers, found by iterating products until the first repeat."""

@@ -126,8 +126,11 @@ def _cmd_filter_lang(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_text(dfa, max_len: int, limit: int = 6) -> str:
-    words = dfa.enumerate_accepted(max_len)[:limit]
+SAMPLE_WORDS = 6
+
+
+def _sample_text(dfa, max_len: int) -> str:
+    words = dfa.enumerate_accepted(max_len, SAMPLE_WORDS)
     if not words:
         return "(none)"
     return " ".join(dfa.alphabet.format(w) or "(empty)" for w in words)
@@ -148,7 +151,7 @@ def _cmd_enumerate_filtrations(args: argparse.Namespace) -> int:
                     "states": dfa.size,
                     "sample": [
                         dfa.alphabet.format(w)
-                        for w in dfa.enumerate_accepted(args.max_len)[:6]
+                        for w in dfa.enumerate_accepted(args.max_len, SAMPLE_WORDS)
                     ],
                 }
                 for f, dfa in atlas.entries

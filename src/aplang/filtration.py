@@ -48,24 +48,24 @@ class FilterFamily(Enum):
     SHIFT = "shift"        # step = 1
 
     def admits(self, f: ArithFilter) -> bool:
+        return f.offset in self.offsets(f.step, f.offset + 1)
+
+    def offsets(self, step: int, offset_bound: int) -> range:
+        """The offsets below offset_bound that the family admits with step."""
         if self is FilterFamily.WEAK:
-            return f.offset == 0
+            return range(min(1, offset_bound))
         if self is FilterFamily.ORDINARY:
-            return f.offset < f.step
-        if self is FilterFamily.SHIFT:
-            return f.step == 1
-        return True
+            return range(min(step, offset_bound))
+        if self is FilterFamily.SHIFT and step != 1:
+            return range(0)
+        return range(offset_bound)
 
     def window_pairs(self, step_max: int, offset_bound: int) -> Iterator[ArithFilter]:
         """Family members with step <= step_max and offset < offset_bound,
         in (step, offset) lexicographic order."""
         for a in range(1, step_max + 1):
-            if self is FilterFamily.SHIFT and a != 1:
-                break
-            for b in range(offset_bound):
-                f = ArithFilter(a, b)
-                if self.admits(f):
-                    yield f
+            for b in self.offsets(a, offset_bound):
+                yield ArithFilter(a, b)
 
 
 def filter_word(w: W, f: ArithFilter) -> W:
@@ -74,74 +74,88 @@ def filter_word(w: W, f: ArithFilter) -> W:
     return w[f.offset::f.step]
 
 
-def signature(d: Dfa, f: ArithFilter) -> tuple[int, int, int, bool]:
-    """Everything the filtered-language automaton depends on, as orbit
-    positions and bits of the transition union M.
+class FilteredAutomata:
+    """The automata of every filtered language of one source DFA, built
+    over boolean row vectors (int bit sets of source states) and stepped
+    by the power orbit of the transition union M.
 
-    The tuple holds the position of the stride M^(step-1) in the power
-    orbit; the fold, the number of leading powers I, M, ..., whose OR
-    lets up to step-1 trailing free letters reach acceptance (at most
-    len(powers), since higher powers repeat listed ones); the start
-    state's row of M^offset; and whether the empty word is filtered in.
-    build_filtered_dfa reads nothing else, so equal signatures give equal
-    filtered languages.
+    A filter's automaton depends on two halves of it.  The step half,
+    (position of the stride M^(step-1) in the orbit, fold), depends on the
+    step alone: the fold is the number of leading powers I, M, ..., whose
+    OR lets up to step-1 trailing free letters reach acceptance (at most
+    len(powers), since higher powers repeat listed ones).  The offset
+    half, (the start state's row of M^offset, whether the empty word is
+    filtered in), depends on the offset alone.  The builder reads nothing
+    else, so filters with equal halves have equal filtered languages.
     """
-    _, m = incidence_matrices(d)
-    orbit = power_orbit(m)
-    shortest = d.shortest_word_length()
-    return (
-        orbit.reduce(f.step - 1),
-        min(f.step, len(orbit.powers)),
-        orbit.power(f.offset).rows[d.start],
-        shortest is not None and shortest <= f.offset,
-    )
+
+    def __init__(self, d: Dfa) -> None:
+        self.source = d
+        self.mats, m = incidence_matrices(d)
+        self.orbit = power_orbit(m)
+        self.shortest = d.shortest_word_length()
+        final = sum(1 << q for q in d.accepting)
+        # near[fold]: the states from which fewer than fold free letters reach acceptance
+        self.near = [0]
+        for p in self.orbit.powers:
+            reach = sum(1 << q for q, row in enumerate(p.rows) if row & final)
+            self.near.append(self.near[-1] | reach)
+
+    def step_half(self, step: int) -> tuple[int, int]:
+        return self.orbit.reduce(step - 1), min(step, len(self.orbit.powers))
+
+    def offset_half(self, offset: int) -> tuple[int, bool]:
+        row = self.orbit.power(offset).rows[self.source.start]
+        return row, self.shortest is not None and self.shortest <= offset
+
+    def build(
+        self, step_half: tuple[int, int], offset_halves: Sequence[tuple[int, bool]]
+    ) -> Dfa:
+        """One automaton for a step half, built lazily over the vectors
+        reachable from a start node per offset half: node i is the start
+        of offset_halves[i], and node 0 is the automaton's start.
+
+        From a start node with row r, symbol c leads to r * M_c; from a
+        vector state v it leads to v * M^(step-1) * M_c.  A vector state
+        accepts iff v meets near[fold], i.e. some number of trailing free
+        letters below the step reaches an accepting source state; a start
+        node accepts iff its empty-word bit is set.
+        """
+        stride, fold = step_half
+        # fold the stride into per-symbol matrices so each transition is one product
+        step_syms = [self.orbit.powers[stride] @ mc for mc in self.mats]
+        starts = len(offset_halves)
+        index: dict[int, int] = {}
+        vectors: list[int] = []
+
+        def state_of(bits: int) -> int:
+            if bits not in index:
+                index[bits] = starts + len(vectors)
+                vectors.append(bits)
+            return index[bits]
+
+        rows = [tuple(state_of(mc.rows_or(row)) for mc in self.mats) for row, _ in offset_halves]
+        i = 0
+        while i < len(vectors):
+            v = vectors[i]
+            rows.append(tuple(state_of(ms.rows_or(v)) for ms in step_syms))
+            i += 1
+
+        n = self.source.size
+        size = starts + len(vectors)
+        if size > (1 << n) + starts:
+            raise RuntimeError(f"{size} states exceed the subset bound 2^{n} + {starts}")
+        near = self.near[fold]
+        accepting = {i for i, (_, eps_in) in enumerate(offset_halves) if eps_in}
+        accepting.update(starts + i for i, bits in enumerate(vectors) if bits & near)
+        return Dfa(self.source.alphabet, size, 0, frozenset(accepting), tuple(rows))
 
 
 def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
-    """Automaton for the filtered language, built lazily over the boolean
-    row vectors (int bit sets of source states) reachable from a dedicated
-    start state.
-
-    From the start state, symbol c leads to start_row * M_c; from a vector
-    state v it leads to v * M^(step-1) * M_c.  A vector state accepts iff
-    v meets near, the source states from which fewer than fold free
-    letters reach acceptance, i.e. some number of trailing free letters
-    below the step reaches an accepting source state; the start state
-    accepts iff the empty word is filtered in.
-    """
-    mats, m = incidence_matrices(d)
-    powers = power_orbit(m).powers
-    stride, fold, start_row, eps_in = signature(d, f)
-    final = sum(1 << q for q in d.accepting)
-    near = sum(
-        1 << q for q in range(d.size) if any(p.rows[q] & final for p in powers[:fold])
-    )
-    # fold the stride into per-symbol matrices so each transition is one product
-    step_syms = [powers[stride] @ mc for mc in mats]
-
-    index: dict[int, int] = {}
-    vectors: list[int] = []
-
-    def state_of(bits: int) -> int:
-        if bits not in index:
-            index[bits] = len(vectors) + 1
-            vectors.append(bits)
-        return index[bits]
-
-    start_targets = tuple(state_of(mc.rows_or(start_row)) for mc in mats)
-    rows: list[tuple[int, ...]] = [start_targets]
-    i = 0
-    while i < len(vectors):
-        v = vectors[i]
-        rows.append(tuple(state_of(ms.rows_or(v)) for ms in step_syms))
-        i += 1
-
-    size = 1 + len(vectors)
-    if size > (1 << d.size) + 1:
-        raise RuntimeError(f"{size} states exceed the subset bound 2^{d.size} + 1")
-    accepting = {0} if eps_in else set()
-    accepting.update(idx + 1 for idx, bits in enumerate(vectors) if bits & near)
-    return Dfa(d.alphabet, size, 0, frozenset(accepting), tuple(rows))
+    """Automaton for the filtered language: FilteredAutomata's automaton
+    with the one start node of f's offset half."""
+    automata = FilteredAutomata(d)
+    return automata.build(automata.step_half(f.step), [automata.offset_half(f.offset)])
 
 
 class _SourceWalk:
@@ -312,8 +326,8 @@ class FiltrationAtlas:
 
 
 def enumeration_window(d: Dfa) -> tuple[int, int]:
-    """Window (step_max, offset_bound) that exhibits every filtered-language
-    signature of d in every family.
+    """Window (step_max, offset_bound) that exhibits every combination of
+    FilteredAutomata halves that a family member of d has, in every family.
 
     Let M's orbit have index i and period p, D = i + p = len(powers), and
     lmin the shortest accepted length (0 for the empty language).
@@ -345,21 +359,58 @@ def enumeration_window(d: Dfa) -> tuple[int, int]:
 
 
 def enumerate_distinct_filtrations(d: Dfa, family: FilterFamily) -> FiltrationAtlas:
-    """Build, minimize, and deduplicate the filtered language of every
-    family member inside the enumeration window.  A pair whose signature
-    was already seen is skipped: equal signatures give equal languages,
-    so the entries and their first-producing pairs do not change."""
+    """The distinct filtered languages of every family member inside the
+    enumeration window, each keyed by its lexicographically first pair.
+
+    Each distinct step half gets one automaton, with a start node per
+    offset half its family members need.  One Moore refinement over it
+    gives every node's language class, and each start class's canonical
+    DFA is read off once.  A last pass over the window's (step, offset)
+    pairs in lexicographic order looks up each pair's language and keeps
+    the first pair per language, stopping once every language has one.
+    """
     step_max, offset_bound = enumeration_window(d)
-    signatures: set[tuple[int, int, int, bool]] = set()
-    seen: set[Dfa] = set()
-    entries: list[tuple[ArithFilter, Dfa]] = []
-    for f in family.window_pairs(step_max, offset_bound):
-        sig = signature(d, f)
-        if sig in signatures:
-            continue
-        signatures.add(sig)
-        canon = build_filtered_dfa(d, f).minimized()
-        if canon not in seen:
-            seen.add(canon)
-            entries.append((f, canon))
-    return FiltrationAtlas(family, tuple(entries), step_max, offset_bound)
+    automata = FilteredAutomata(d)
+    offset_ids: dict[tuple[int, bool], int] = {}
+    offset_id = [
+        offset_ids.setdefault(automata.offset_half(b), len(offset_ids))
+        for b in range(offset_bound)
+    ]
+    offset_halves = list(offset_ids)
+    step_halves = {
+        a: automata.step_half(a)
+        for a in range(1, step_max + 1)
+        if family.offsets(a, offset_bound)
+    }
+    # the offset half ids each step half's family members need, in first-use order
+    needed: dict[tuple[int, int], dict[int, None]] = {}
+    for a, half in step_halves.items():
+        wanted = needed.setdefault(half, {})
+        wanted.update(dict.fromkeys(offset_id[b] for b in family.offsets(a, offset_bound)))
+
+    forms: dict[Dfa, int] = {}
+    # language[step half][offset half id]: the id of the pair's language
+    language: dict[tuple[int, int], dict[int, int]] = {}
+    for half, wanted in needed.items():
+        graph = automata.build(half, [offset_halves[o] for o in wanted])
+        classes = graph.language_classes(range(graph.size))
+        by_class: dict[int, int] = {}
+        ids = language[half] = {}
+        for node, o in enumerate(wanted):
+            c = classes[node]
+            if c not in by_class:
+                by_class[c] = forms.setdefault(graph.canonical_from(classes, node), len(forms))
+            ids[o] = by_class[c]
+
+    first: dict[int, tuple[int, int]] = {}
+    for a, half in step_halves.items():
+        ids = language[half]
+        for b in family.offsets(a, offset_bound):
+            lang = ids[offset_id[b]]
+            if lang not in first:
+                first[lang] = (a, b)
+        if len(first) == len(forms):
+            break
+    canon = list(forms)
+    entries = tuple((ArithFilter(a, b), canon[lang]) for lang, (a, b) in first.items())
+    return FiltrationAtlas(family, entries, step_max, offset_bound)

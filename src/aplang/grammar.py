@@ -217,12 +217,13 @@ def to_cnf(g: Cfg) -> Cfg:
     return Cfg.make(g.terminals, tuple(order), new_start, final_rules)
 
 
-@lru_cache(maxsize=None)
+# A few grammars are in use at a time; the bound caps long-lived processes.
+@lru_cache(maxsize=16)
 def _cnf_form(g: Cfg) -> Cfg:
     return to_cnf(g)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _cyk_indexes(cnf: Cfg):
     term_index: dict[str, frozenset[str]] = {}
     pair_index: dict[tuple[str, str], frozenset[str]] = {}

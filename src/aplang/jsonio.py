@@ -6,7 +6,9 @@ Transitions omitted from a DFA go to an implicit dead state appended as
 state index `states`.  The NFA format is identical except that "initial"
 is a list and delta values are lists; omitted NFA transitions are simply
 the empty target set.  Every state number must be a JSON integer;
-true and false are rejected, although Python counts them as ints.
+true and false are rejected, although Python counts them as ints.  A
+delta key must spell its state in canonical decimal ("3", not "03",
+"+3" or "3_0"), so no two keys can name the same state.
 Writers always emit complete tables, so a write followed by a read
 reproduces the in-memory value exactly.
 """
@@ -39,6 +41,18 @@ def _require_ints(obj: dict, key: str) -> list[int]:
     return values
 
 
+def _state_number(key: str) -> int:
+    """A delta key's state number; only the canonical decimal spelling
+    str(q) is accepted, so no two keys can name the same state."""
+    try:
+        q = int(key)
+    except ValueError:
+        q = None
+    if q is None or str(q) != key:
+        raise ValueError(f"state key {key!r} is not a canonical decimal integer")
+    return q
+
+
 def _parse_alphabet(obj: dict) -> Alphabet:
     names = _require(obj, "alphabet", list)
     if not all(isinstance(t, str) for t in names):
@@ -69,10 +83,7 @@ def obj_to_dfa(obj: dict) -> Dfa:
     delta_obj = _require(obj, "delta", dict)
     transitions: dict[tuple[int, int], int] = {}
     for state_key, row in delta_obj.items():
-        try:
-            q = int(state_key)
-        except ValueError:
-            raise ValueError(f"state key {state_key!r} is not an integer") from None
+        q = _state_number(state_key)
         if not isinstance(row, dict):
             raise ValueError("delta rows must be objects")
         for token, target in row.items():
@@ -109,10 +120,7 @@ def obj_to_nfa(obj: dict) -> Nfa:
     k = len(alphabet)
     rows = [[frozenset() for _ in range(k)] for _ in range(size)]
     for state_key, row in delta_obj.items():
-        try:
-            q = int(state_key)
-        except ValueError:
-            raise ValueError(f"state key {state_key!r} is not an integer") from None
+        q = _state_number(state_key)
         if not 0 <= q < size:
             raise ValueError(f"state {q} out of range")
         if not isinstance(row, dict):

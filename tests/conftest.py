@@ -2,6 +2,8 @@
 profile: derandomized with no example database, so every run draws the
 same examples."""
 
+import random
+
 import pytest
 from hypothesis import settings
 
@@ -49,6 +51,27 @@ def single_word_dfa(text: str, alphabet: Alphabet) -> Dfa:
         alphabet, len(word) + 1, 0, [len(word)],
         {(i, s): i + 1 for i, s in enumerate(word)},
     )
+
+
+def hub_chain_dfa(cycles: tuple[int, ...], seed: int = 1) -> Dfa:
+    """The reachable long-orbit family over {a, b}: hubs h0..h(k-1) are
+    states 0..k-1, then the cycles in order.  From hub i, a enters cycle i
+    and b goes to hub i+1; from the last hub, b also enters its cycle.
+    Both letters step along each cycle, and the start is h0.  Each cycle
+    state accepts with probability 1/2, drawn from the seed; a cycle left
+    with none or all of its states accepting accepts at its first state
+    only.  The union matrix has index k and period lcm(cycles)."""
+    rng = random.Random(f"hub/{seed}/{'-'.join(map(str, cycles))}")
+    k = len(cycles)
+    firsts = [k + sum(cycles[:i]) for i in range(k)]
+    delta = [(firsts[i], i + 1 if i + 1 < k else firsts[i]) for i in range(k)]
+    accepting: set[int] = set()
+    for first, length in zip(firsts, cycles):
+        states = range(first, first + length)
+        delta.extend((first + (q - first + 1) % length,) * 2 for q in states)
+        chosen = [q for q in states if rng.random() < 0.5]
+        accepting.update(chosen if 0 < len(chosen) < length else [first])
+    return Dfa(AB, len(delta), 0, frozenset(accepting), tuple(delta))
 
 
 @pytest.fixture

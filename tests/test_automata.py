@@ -1,6 +1,7 @@
 """DFA / NFA construction, canonical minimization, and the standard ops."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -8,7 +9,14 @@ import pytest
 from aplang.automata import Alphabet, Dfa, Nfa
 from aplang.verification import random_dfa
 
-from conftest import AB, ab_star_dfa, empty_dfa, single_word_dfa, twos_dfa
+from conftest import (
+    AB,
+    ab_star_dfa,
+    empty_dfa,
+    single_word_dfa,
+    twos_dfa,
+    universal_dfa,
+)
 
 
 def all_words(alphabet: Alphabet, max_len: int):
@@ -146,6 +154,16 @@ def test_minimize_preserves_acceptance_random():
             assert m.accepts(w) == d.accepts(w)
 
 
+def test_canonical_from_any_state_is_that_start_minimized():
+    # one partition of the whole automaton serves every start state
+    rng = random.Random(19)
+    for _ in range(20):
+        d = random_dfa(rng, 6)
+        classes = d.language_classes(range(d.size))
+        for q in range(d.size):
+            assert d.canonical_from(classes, q) == replace(d, start=q).minimized()
+
+
 def test_minimized_states_pairwise_distinguishable():
     # no two states of a minimized DFA share their right-language
     # (independent table-filling check)
@@ -249,6 +267,26 @@ def test_enumerate_accepted_matches_accepts_exhaustively():
 def test_enumerate_accepted_rejects_negative(ab_star):
     with pytest.raises(ValueError):
         ab_star.enumerate_accepted(-1)
+    with pytest.raises(ValueError):
+        ab_star.enumerate_accepted(3, 0)
+
+
+def test_enumerate_accepted_limit_is_a_prefix_of_the_full_list():
+    rng = random.Random(17)
+    for _ in range(40):
+        d = random_dfa(rng, 5)
+        full = d.enumerate_accepted(7)
+        for limit in (1, 2, 6, len(full) + 1):
+            assert d.enumerate_accepted(7, limit) == full[:limit]
+
+
+def test_enumerate_accepted_limit_costs_only_the_words_listed():
+    # (a|b)* has 2^61 - 1 words up to length 60: listing them all never ends
+    words = universal_dfa().enumerate_accepted(60, 6)
+    assert [AB.format(w) for w in words] == ["", "a", "b", "aa", "ab", "ba"]
+    # a lone long word is reached without exploring its dead-end branches
+    long_word = single_word_dfa("ab" * 30, AB)
+    assert long_word.enumerate_accepted(1000, 6) == [AB.word("ab" * 30)]
 
 
 def test_shortest_word_length(ab_star, zeros_then_one):

@@ -6,7 +6,8 @@ import pytest
 
 from aplang.automata import Alphabet, Dfa
 from aplang.boolmat import BoolMatrix, incidence_matrices, power_orbit
-from aplang.verification import random_dfa
+from aplang.grammar import _cnf_form, _cyk_indexes
+from aplang.verification import random_dfa, verify_thm1
 
 from conftest import ab_star_dfa, universal_dfa
 
@@ -209,3 +210,16 @@ def test_matrix_validation():
         BoolMatrix(2, (4, 0))
     with pytest.raises(ValueError):
         BoolMatrix(0, ())
+
+
+def test_process_caches_are_bounded_and_keep_thm1s_reuse():
+    for cache in (power_orbit, _cnf_form, _cyk_indexes):
+        assert cache.cache_info().maxsize is not None
+    # more automata than the cache holds, each one's orbit computed once
+    pool = power_orbit.cache_info().maxsize + 8
+    power_orbit.cache_clear()
+    assert verify_thm1(pool_size=pool, finiteness_pool=0).outcome == "PASS"
+    info = power_orbit.cache_info()
+    assert info.misses <= pool
+    assert info.hits >= 19 * pool
+    assert info.currsize <= info.maxsize

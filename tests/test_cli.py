@@ -126,6 +126,16 @@ def test_non_object_json_exits_2(tmp_path, capsys, command, text):
     assert "Traceback" not in err
 
 
+def test_aliased_state_keys_exit_2(tmp_path, capsys):
+    obj = dfa_to_obj(universal_dfa())
+    obj["delta"]["00"] = {"a": 0}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "filter-lang", str(bad), "2", "0")
+    assert code == 2
+    assert err == "error: state key '00' is not a canonical decimal integer\n"
+
+
 def test_filter_lang_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "filter-lang", str(tmp_path / "nope.json"), "2", "0")
     assert code == 3
@@ -178,6 +188,17 @@ def test_enumerate_filtrations_json_format(tmp_path, capsys):
     assert obj["family"] == "weak"
     assert obj["distinct"] == len(obj["entries"])
     assert all(e["b"] == 0 for e in obj["entries"])
+
+
+def test_enumerate_filtrations_samples_stay_cheap_at_long_lengths(tmp_path, capsys):
+    # six sample words of (a|b)*, not every one of its 2^61 - 1 words up to 60
+    src = tmp_path / "u.json"
+    save_dfa(universal_dfa(), str(src))
+    code, out, _ = run_cli(
+        capsys, "enumerate-filtrations", str(src), "weak", "--max-len", "60"
+    )
+    assert code == 0
+    assert "sample: (empty) a b aa ab ba\n" in out
 
 
 def test_enumerate_filtrations_unknown_family(tmp_path, capsys):

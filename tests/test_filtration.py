@@ -14,13 +14,13 @@ from aplang.boolmat import incidence_matrices, power_orbit
 from aplang.filtration import (
     ArithFilter,
     FilterFamily,
+    FilteredAutomata,
     build_filtered_dfa,
     enumerate_distinct_filtrations,
     enumeration_window,
     filter_word,
     filtered_language_oracle,
     first_disagreement,
-    signature,
 )
 from aplang.verification import DEFAULT_SEED, random_dfa, run_claims, verify_thm1
 
@@ -29,6 +29,7 @@ from conftest import (
     ab_star_dfa,
     b_ab_star_dfa,
     empty_dfa,
+    hub_chain_dfa,
     universal_dfa,
     zeros_then_one_dfa,
 )
@@ -71,48 +72,59 @@ def test_filter_word_matches_index_spelling(w, a, b):
     assert len(filter_word(w, f)) == max(0, -(-(len(w) - b) // a) if len(w) > b else 0)
 
 
-# --- signatures --------------------------------------------------------------
+# --- signatures: the step half and the offset half ---------------------------
+
+
+def signature(d, f):
+    """The filter's (step half, offset half), everything its filtered
+    automaton reads."""
+    automata = FilteredAutomata(d)
+    return automata.step_half(f.step), automata.offset_half(f.offset)
 
 
 def test_signature_identity_filter(ab_star):
     assert signature(ab_star, ArithFilter(1, 0)) == (
-        0, 1, 1 << ab_star.start, ab_star.start in ab_star.accepting
+        (0, 1), (1 << ab_star.start, ab_star.start in ab_star.accepting)
     )
 
 
 def test_signature_distinguishes_steps(ab_star):
     _, m = incidence_matrices(ab_star)
     orbit = power_orbit(m)
+    automata = FilteredAutomata(ab_star)
     # the transition-union matrix of the 3-state completion has orbit
     # index 1, period 2, so M^3 and M^5 fold back onto M; from step 3 on
-    # the fold holds all three powers, so steps 4 and 6 share a signature
+    # the fold holds all three powers, so steps 4 and 6 share a step half
     assert (orbit.index, orbit.period) == (1, 2)
     assert orbit.reduce(3) == orbit.reduce(5) == 1
     assert orbit.power(3) == orbit.power(1)
-    assert signature(ab_star, ArithFilter(4, 0)) == signature(ab_star, ArithFilter(6, 0))
+    assert automata.step_half(4) == automata.step_half(6)
     # step 2 has the same stride but a shorter fold; its language is a* too
-    assert signature(ab_star, ArithFilter(2, 0)) == (1, 2, 1, True)
-    assert signature(ab_star, ArithFilter(4, 0)) == (1, 3, 1, True)
+    assert signature(ab_star, ArithFilter(2, 0)) == ((1, 2), (1, True))
+    assert signature(ab_star, ArithFilter(4, 0)) == ((1, 3), (1, True))
     assert build_filtered_dfa(ab_star, ArithFilter(4, 0)).equivalent(
         build_filtered_dfa(ab_star, ArithFilter(2, 0))
     )
     # consecutive steps do differ: M^2 != M^1
     assert orbit.power(2) != orbit.power(1)
-    assert signature(ab_star, ArithFilter(2, 0)) != signature(ab_star, ArithFilter(3, 0))
-    assert signature(ab_star, ArithFilter(1, 0)) != signature(ab_star, ArithFilter(2, 0))
+    assert automata.step_half(2) != automata.step_half(3)
+    assert automata.step_half(1) != automata.step_half(2)
 
 
 def test_signature_fold_separates_equal_strides():
     # words of even length: M swaps the two states, so steps 1 and 3 share
     # the stride M^0 = M^2, but step 3 lets one or two trailing letters
-    # reach acceptance and so accepts every word; only the fold tells them
-    # apart, and equal signatures must mean equal languages
+    # reach acceptance and so accepts every word; only the fold tells their
+    # step halves apart, and equal halves must mean equal languages
     even = Dfa.build(AB, 2, 0, [0], {(0, 0): 1, (0, 1): 1, (1, 0): 0, (1, 1): 0})
     step1, step3 = ArithFilter(1, 0), ArithFilter(3, 0)
     assert build_filtered_dfa(even, step1).minimized() != build_filtered_dfa(
         even, step3
     ).minimized()
-    assert signature(even, step1) != signature(even, step3)
+    automata = FilteredAutomata(even)
+    assert automata.step_half(1) == (0, 1)
+    assert automata.step_half(3) == (0, 2)
+    assert automata.offset_half(0) == (1, True)
 
 
 def test_signature_periodic_in_offset():
@@ -120,25 +132,25 @@ def test_signature_periodic_in_offset():
     for _ in range(10):
         d = random_dfa(rng, 4)
         _, b_bound = enumeration_window(d)
-        _, m = incidence_matrices(d)
-        period = power_orbit(m).period
-        for a in (1, 2, 3):
-            big = b_bound + 7
+        automata = FilteredAutomata(d)
+        period = automata.orbit.period
+        for extra in (0, 7, 8):
+            big = b_bound + extra
             reduced = b_bound - period + (big - (b_bound - period)) % period
-            s1 = signature(d, ArithFilter(a, big))
-            s2 = signature(d, ArithFilter(a, reduced))
-            assert s1 == s2
+            assert automata.offset_half(big) == automata.offset_half(reduced)
 
 
 def test_signature_soundness_within_window():
-    # equal signatures imply equivalent filtered languages
+    # equal halves imply equivalent filtered languages
     rng = random.Random(22)
     for _ in range(8):
         d = random_dfa(rng, 4)
         a_max, b_bound = enumeration_window(d)
+        automata = FilteredAutomata(d)
         groups: dict = {}
         for f in FilterFamily.STRONG.window_pairs(a_max, b_bound):
-            groups.setdefault(signature(d, f), []).append(f)
+            halves = automata.step_half(f.step), automata.offset_half(f.offset)
+            groups.setdefault(halves, []).append(f)
         for members in groups.values():
             first = build_filtered_dfa(d, members[0]).minimized()
             for f in members[1:]:
@@ -147,17 +159,20 @@ def test_signature_soundness_within_window():
 
 def test_window_holds_every_signature():
     # enumeration_window's docstring proves the window; a tripled window
-    # must add no signature in any family
+    # must add no combination of halves in any family
     rng = random.Random(30)
     for _ in range(200):
         d = random_dfa(rng, 5)
         a_max, b_bound = enumeration_window(d)
+        automata = FilteredAutomata(d)
         for family in FilterFamily:
-            inside = {signature(d, f) for f in family.window_pairs(a_max, b_bound)}
-            tripled = {
-                signature(d, f) for f in family.window_pairs(3 * a_max, 3 * b_bound)
-            }
-            assert tripled == inside, (d, family)
+            def halves(step_max, offset_bound):
+                return {
+                    (automata.step_half(f.step), automata.offset_half(f.offset))
+                    for f in family.window_pairs(step_max, offset_bound)
+                }
+
+            assert halves(3 * a_max, 3 * b_bound) == halves(a_max, b_bound), (d, family)
 
 
 # --- construction vs oracle ---------------------------------------------------
@@ -395,6 +410,55 @@ def test_ordinary_atlas_reaches_past_index_plus_period():
     assert len(atlas) == 7
     assert b_star in atlas.canonical_forms()
     assert atlas.entries[-1][0] == ArithFilter(4, 2)
+
+
+def per_pair_atlas(d, family):
+    """The atlas by brute force: build and minimize every window pair and
+    keep each language's first pair."""
+    step_max, offset_bound = enumeration_window(d)
+    first: dict = {}
+    for f in family.window_pairs(step_max, offset_bound):
+        first.setdefault(build_filtered_dfa(d, f).minimized(), f)
+    return tuple((f, canon) for canon, f in first.items())
+
+
+def test_atlas_equals_the_per_pair_reference():
+    rng = random.Random(32)
+    for _ in range(25):
+        d = random_dfa(rng, 5)
+        for family in FilterFamily:
+            assert enumerate_distinct_filtrations(d, family).entries == per_pair_atlas(d, family)
+
+
+def test_hub_chain_is_minimal_with_a_long_orbit():
+    d = hub_chain_dfa((3, 4, 5))
+    orbit = power_orbit(incidence_matrices(d)[1])
+    assert d.size == 15
+    assert d.minimized().size == 15
+    assert (orbit.index, orbit.period) == (3, 60)
+
+
+def test_hub_chain_atlas_equals_the_per_pair_reference():
+    d = hub_chain_dfa((3, 4, 5))
+    for family in (FilterFamily.WEAK, FilterFamily.SHIFT):
+        assert enumerate_distinct_filtrations(d, family).entries == per_pair_atlas(d, family)
+
+
+@pytest.mark.parametrize("name, size", [("strong", 96), ("ordinary", 5)])
+def test_hub_chain_atlas_closed_under_a_sampled_doubled_window(name, size):
+    d = hub_chain_dfa((3, 4, 5))
+    family = FilterFamily(name)
+    atlas = enumerate_distinct_filtrations(d, family)
+    assert len(atlas) == size
+    for f, canon in atlas.entries:
+        assert build_filtered_dfa(d, f).minimized() == canon
+    forms = atlas.canonical_forms()
+    rng = random.Random(f"hub-closure/{family.value}")
+    for _ in range(60):
+        a = rng.randint(1, 2 * atlas.step_window)
+        b = rng.randrange(2 * atlas.offset_window)
+        f = ArithFilter(a, b % a if family is FilterFamily.ORDINARY else b)
+        assert build_filtered_dfa(d, f).minimized() in forms, f
 
 
 def test_atlas_entries_pairwise_distinct_and_family_consistent():

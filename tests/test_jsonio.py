@@ -121,6 +121,30 @@ def test_state_numbers_must_be_integers(bad):
             obj_to_nfa(obj)
 
 
+@pytest.mark.parametrize("key", ["00", "01", "+0", "-0", " 0", "0 ", "1_1", "١"])
+def test_state_keys_must_be_canonical(key):
+    # int() reads every one of these as a state number, so a second
+    # spelling would silently override or alias a state
+    dfa = {
+        "alphabet": ["a"],
+        "states": 12,
+        "start": 0,
+        "accepting": [0],
+        "delta": {"0": {"a": 1}, key: {"a": 0}},
+    }
+    with pytest.raises(ValueError, match="canonical decimal"):
+        obj_to_dfa(dfa)
+    nfa = {
+        "alphabet": ["a"],
+        "states": 12,
+        "initial": [0],
+        "accepting": [0],
+        "delta": {"0": {"a": [1]}, key: {"a": [0]}},
+    }
+    with pytest.raises(ValueError, match="canonical decimal"):
+        obj_to_nfa(nfa)
+
+
 def test_file_round_trip(tmp_path):
     d = ab_star_dfa()
     path = tmp_path / "m.json"

@@ -24,10 +24,12 @@ def test_word_oracles_share_nothing_with_the_construction():
     oracles = {"_SourceWalk", "filtered_language_oracle", "first_disagreement"}
     construction = {
         "BoolMatrix",
+        "FilteredAutomata",
         "build_filtered_dfa",
         "incidence_matrices",
+        "offset_half",
         "power_orbit",
-        "signature",
+        "step_half",
     }
     tree = ast.parse((SRC / "filtration.py").read_text(encoding="utf-8"))
     defs = [node for node in tree.body if getattr(node, "name", None) in oracles]
