@@ -100,6 +100,8 @@ class FilteredAutomata:
         for p in self.orbit.powers:
             reach = sum(1 << q for q, row in enumerate(p.rows) if row & final)
             self.near.append(self.near[-1] | reach)
+        # _first[r]: a start node's targets r * M_c, shared by every step half
+        self._first: dict[int, tuple[int, ...]] = {}
 
     def step_half(self, step: int) -> tuple[int, int]:
         return self.orbit.reduce(step - 1), min(step, len(self.orbit.powers))
@@ -134,7 +136,11 @@ class FilteredAutomata:
                 vectors.append(bits)
             return index[bits]
 
-        rows = [tuple(state_of(mc.rows_or(row)) for mc in self.mats) for row, _ in offset_halves]
+        rows = []
+        for row, _ in offset_halves:
+            if row not in self._first:
+                self._first[row] = tuple(mc.rows_or(row) for mc in self.mats)
+            rows.append(tuple(state_of(bits) for bits in self._first[row]))
         i = 0
         while i < len(vectors):
             v = vectors[i]

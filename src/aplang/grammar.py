@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -469,6 +469,37 @@ def thm5_witness(t: int) -> str:
     return "".join(parts) + "j"
 
 
+def _thm5_pins(
+    total_len: int, diag_prefilter: Optional[str]
+) -> tuple[list[Optional[str]], list[int]]:
+    """The checked pin tables of a member length and diagonal prefilter (a
+    word of length t = sqrt(total_len), "?" as wildcard), which pins its
+    letters at the diagonal positions, the multiples of t + 1.
+
+    pinned[pos] is the symbol pinned at pos, or None; zero_end[pos] is the
+    first position at or after pos that may not hold a zero.
+    """
+    if total_len < 0:
+        raise ValueError("total_len must be non-negative")
+    pinned: list[Optional[str]] = [None] * (total_len + 1)
+    if diag_prefilter is not None:
+        t = isqrt(total_len)
+        if t == 0 or t * t != total_len:
+            raise ValueError("total_len is not a perfect square")
+        if len(diag_prefilter) != t:
+            raise ValueError("prefilter length must be the square root of total_len")
+        allowed = set(THM5_ALPHABET.names) | {"?"}
+        if any(ch not in allowed for ch in diag_prefilter):
+            raise ValueError("prefilter may use alphabet letters and '?' only")
+        for k, ch in enumerate(diag_prefilter):
+            if ch != "?":
+                pinned[k * (t + 1)] = ch
+    zero_end = [total_len] * (total_len + 1)
+    for pos in range(total_len - 1, -1, -1):
+        zero_end[pos] = pos if pinned[pos] not in (None, "0") else zero_end[pos + 1]
+    return pinned, zero_end
+
+
 def _thm5_units(m: int, n: int, p: int, total_len: int) -> list[tuple[str, int, int]]:
     """The member shape for (m, n, p) as (letter, least, most) units: each
     letter followed by a zero run of least..most zeros."""
@@ -490,33 +521,17 @@ def enumerate_thm5_by_length(
 
     A member is a sequence of letters, each followed by a zero run, so one
     recursion places a letter and then tries each feasible run length.
-    With a prefilter (a word of length t = sqrt(total_len), "?" as
-    wildcard) the pattern pins letters at the diagonal positions, the
-    multiples of t + 1: a letter is placed only where the pin allows it,
-    and a zero run stops before the first pinned non-zero letter.
+    With a prefilter (see _thm5_pins) a letter is placed only where the
+    pin allows it, a zero run stops before the first pinned non-zero
+    letter, and a branch stops as soon as a pinned letter ahead of it is
+    one that only earlier units hold.
     """
-    if total_len < 0:
-        raise ValueError("total_len must be non-negative")
-    pinned: list[Optional[str]] = [None] * (total_len + 1)
-    if diag_prefilter is not None:
-        t = isqrt(total_len)
-        if t == 0 or t * t != total_len:
-            raise ValueError("total_len is not a perfect square")
-        if len(diag_prefilter) != t:
-            raise ValueError("prefilter length must be the square root of total_len")
-        allowed = set(THM5_ALPHABET.names) | {"?"}
-        if any(ch not in allowed for ch in diag_prefilter):
-            raise ValueError("prefilter may use alphabet letters and '?' only")
-        for k, ch in enumerate(diag_prefilter):
-            if ch != "?":
-                pinned[k * (t + 1)] = ch
-    # zero_end[pos]: the first position at or after pos that may not hold a zero
-    zero_end = [total_len] * (total_len + 1)
-    for pos in range(total_len - 1, -1, -1):
-        zero_end[pos] = pos if pinned[pos] not in (None, "0") else zero_end[pos + 1]
+    pinned, zero_end = _thm5_pins(total_len, diag_prefilter)
 
     # emit reads the current (m, n, p) shape: its units, the fewest symbols
-    # rest[i] that units i, i+1, ... take, and the letters and runs placed
+    # rest[i] that units i, i+1, ... take, need[pos] (the least, over pinned
+    # letters at or after pos, of the last unit holding that letter, -1 if
+    # none does), and the letters and runs placed
     parts: list[str] = []
 
     def emit(idx: int, pos: int) -> Iterator[str]:
@@ -525,7 +540,7 @@ def enumerate_thm5_by_length(
                 yield "".join(parts)
             return
         letter, least, most = units[idx]
-        if pinned[pos] not in (None, letter):
+        if pinned[pos] not in (None, letter) or need[pos] < idx:
             return
         pos += 1
         top = min(most, total_len - pos - rest[idx + 1], zero_end[pos] - pos)
@@ -546,7 +561,95 @@ def enumerate_thm5_by_length(
                 rest = [0] * (len(units) + 1)
                 for i in range(len(units) - 1, -1, -1):
                     rest[i] = rest[i + 1] + 1 + units[i][1]
+                last = {letter: i for i, (letter, _, _) in enumerate(units)}
+                need = [len(units)] * (total_len + 1)
+                for pos in range(total_len - 1, -1, -1):
+                    need[pos] = need[pos + 1]
+                    if pinned[pos] not in (None, "0"):
+                        need[pos] = min(need[pos], last.get(pinned[pos], -1))
                 yield from emit(0, 0)
                 p += 1
             n += 1
         m += 1
+
+
+def count_thm5_by_length(
+    total_len: int, diag_prefilter: Optional[str] = None
+) -> tuple[int, Optional[str]]:
+    """The number of members enumerate_thm5_by_length yields for the same
+    arguments, and one of them (None when there are none), found without
+    listing them.
+
+    Once its start position is fixed, a block is independent of the
+    others, so a count vector over positions 0..total_len (ways[pos]: the
+    member prefixes that end just before pos) is pushed through each block
+    in turn and summed over the block's count c.  The block's first letter
+    with exactly 3c+1 zeros shifts the vector; each later letter with a run
+    of at least one zero adds its count to a range of end positions, as
+    far as zero_end allows, through a difference array.  The member ends
+    with j at total_len - 1.  Only the vectors at block boundaries are
+    kept: the member is rebuilt backwards, one block at a time, from that
+    block's unit vectors recomputed for the chosen c.
+    """
+    pinned, zero_end = _thm5_pins(total_len, diag_prefilter)
+    # a block with count c takes at least 5c symbols, the other two at least 15 each
+    block_counts = range(3, (total_len - 31) // 5 + 1)
+
+    def run_letters(block: tuple[str, str, str], c: int) -> tuple[str, ...]:
+        """The block's letters that take a run of at least one zero."""
+        return (block[1],) + (block[2],) * (c - 2)
+
+    def unit_vectors(ways: list[int], block: tuple[str, str, str], c: int) -> Iterator[list[int]]:
+        """The vectors after each unit of a block with count c."""
+        shift = 3 * c + 2
+        ways_out = [0] * (total_len + 1)
+        for pos in range(total_len - shift + 1):
+            if ways[pos] and pinned[pos] in (None, block[0]) and pos + shift <= zero_end[pos + 1]:
+                ways_out[pos + shift] = ways[pos]
+        yield ways_out
+        for letter in run_letters(block, c):
+            ways = ways_out
+            diff = [0] * (total_len + 2)
+            for pos in range(total_len - 1):
+                if ways[pos] and pinned[pos] in (None, letter):
+                    diff[pos + 2] += ways[pos]
+                    diff[zero_end[pos + 1] + 1] -= ways[pos]
+            ways_out = list(accumulate(diff[: total_len + 1]))
+            yield ways_out
+
+    def block_end(ways: list[int], block: tuple[str, str, str], c: int) -> list[int]:
+        """The vector after the block, or an all-zero one as soon as a
+        unit leaves no way through."""
+        out = ways
+        for out in unit_vectors(ways, block, c):
+            if not any(out):
+                break
+        return out
+
+    boundaries = [[1] + [0] * total_len]
+    for block in _THM5_BLOCKS:
+        total = [0] * (total_len + 1)
+        for c in block_counts:
+            total = [x + y for x, y in zip(total, block_end(boundaries[-1], block, c))]
+        boundaries.append(total)
+    end = total_len - 1
+    count = boundaries[-1][end] if end >= 0 and pinned[end] in (None, "j") else 0
+    if not count:
+        return 0, None
+
+    pieces = ["j"]
+    for block, ways in zip(reversed(_THM5_BLOCKS), reversed(boundaries[:-1])):
+        c = next(c for c in block_counts if block_end(ways, block, c)[end])
+        # the vectors before each run letter: after the first letter's run,
+        # then after each run letter but the last
+        befores = list(unit_vectors(ways, block, c))[:-1]
+        for letter, before in zip(reversed(run_letters(block, c)), reversed(befores)):
+            start = next(
+                p for p in range(end - 1)
+                if before[p] and pinned[p] in (None, letter) and end <= zero_end[p + 1]
+            )
+            pieces.append(letter + "0" * (end - start - 1))
+            end = start
+        end -= 3 * c + 2
+        pieces.append(block[0] + "0" * (3 * c + 1))
+    return count, "".join(reversed(pieces))

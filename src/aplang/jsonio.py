@@ -8,7 +8,8 @@ is a list and delta values are lists; omitted NFA transitions are simply
 the empty target set.  Every state number must be a JSON integer;
 true and false are rejected, although Python counts them as ints.  A
 delta key must spell its state in canonical decimal ("3", not "03",
-"+3" or "3_0"), so no two keys can name the same state.
+"+3" or "3_0"), so no two keys can name the same state.  "states" may
+be at most MAX_STATES, so a small file cannot ask for a huge table.
 Writers always emit complete tables, so a write followed by a read
 reproduces the in-memory value exactly.
 """
@@ -19,6 +20,11 @@ import json
 from typing import Any
 
 from .automata import Alphabet, Dfa, Nfa
+
+# Above the largest automata the toolkit writes and reads back (the diagonal
+# NFA of a period-210 automaton has 44 101 states), and small enough that a
+# table with this many rows fits in memory.
+MAX_STATES = 1 << 20
 
 
 def _require(obj: dict, key: str, kind: type) -> Any:
@@ -39,6 +45,13 @@ def _require_ints(obj: dict, key: str) -> list[int]:
     if not all(_is_int(v) for v in values):
         raise ValueError(f"field {key!r} must list integers")
     return values
+
+
+def _state_count(obj: dict) -> int:
+    size = _require(obj, "states", int)
+    if size > MAX_STATES:
+        raise ValueError(f"states {size} exceeds the limit of {MAX_STATES}")
+    return size
 
 
 def _state_number(key: str) -> int:
@@ -77,7 +90,7 @@ def obj_to_dfa(obj: dict) -> Dfa:
     if not isinstance(obj, dict):
         raise ValueError("a DFA must be a JSON object")
     alphabet = _parse_alphabet(obj)
-    size = _require(obj, "states", int)
+    size = _state_count(obj)
     start = _require(obj, "start", int)
     accepting = _require_ints(obj, "accepting")
     delta_obj = _require(obj, "delta", dict)
@@ -113,7 +126,7 @@ def obj_to_nfa(obj: dict) -> Nfa:
     if not isinstance(obj, dict):
         raise ValueError("an NFA must be a JSON object")
     alphabet = _parse_alphabet(obj)
-    size = _require(obj, "states", int)
+    size = _state_count(obj)
     initial = _require_ints(obj, "initial")
     accepting = _require_ints(obj, "accepting")
     delta_obj = _require(obj, "delta", dict)

@@ -227,20 +227,51 @@ def test_criterion_8_deep_169():
 def test_criterion_8_deep_sweep_checks_each_member_diagonal(monkeypatch):
     # a |y|=169 member whose diagonal misses its pattern must FAIL the
     # claim; the check is a real branch, so python -O keeps it
-    real = aplang.verification.enumerate_thm5_by_length
+    real = aplang.verification.count_thm5_by_length
 
     def wrong_diagonal(length, pattern):
         if length == 169:
-            yield "a" * 169
-        else:
-            yield from real(length, pattern)
+            return 1, "a" * 169
+        return real(length, pattern)
 
-    monkeypatch.setattr(aplang.verification, "enumerate_thm5_by_length", wrong_diagonal)
+    monkeypatch.setattr(aplang.verification, "count_thm5_by_length", wrong_diagonal)
     result = verify_thm5(deep=True)
     assert result.outcome == "FAIL"
     assert result.witness == (
         "|y|=169: a member enumerated for abcdefghiiiij has diagonal aaaaaaaaaaaaa"
     )
+
+
+def test_criterion_8_rebuilt_members_must_be_in_the_language(monkeypatch):
+    # a member with the right diagonal but outside the language FAILs too
+    real = aplang.verification.count_thm5_by_length
+
+    def zeros_off_the_diagonal(length, pattern):
+        if length == 169:
+            y = ["0"] * 169
+            for k, ch in enumerate(pattern):
+                y[14 * k] = ch
+            return 1, "".join(y)
+        return real(length, pattern)
+
+    monkeypatch.setattr(aplang.verification, "count_thm5_by_length", zeros_off_the_diagonal)
+    result = verify_thm5(deep=True)
+    assert result.outcome == "FAIL"
+    assert result.witness == (
+        "|y|=169: the member rebuilt for abcdefghiiiij is not in the language"
+    )
+
+
+def test_criterion_8_fails_without_the_staircase_at_100(monkeypatch):
+    real = aplang.verification.count_thm5_by_length
+
+    def no_staircase(length, pattern):
+        return (0, None) if pattern == "abcdefghij" else real(length, pattern)
+
+    monkeypatch.setattr(aplang.verification, "count_thm5_by_length", no_staircase)
+    result = verify_thm5()
+    assert result.outcome == "FAIL"
+    assert result.witness == "|y|=100: well-formed diagonals are []"
 
 
 def test_criterion_9_mutation_flipping_diag_step_order_breaks_a_suite():

@@ -126,6 +126,16 @@ def test_non_object_json_exits_2(tmp_path, capsys, command, text):
     assert "Traceback" not in err
 
 
+def test_huge_state_count_exits_2(tmp_path, capsys):
+    obj = dfa_to_obj(universal_dfa())
+    obj["states"] = 100_000_000
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "filter-lang", str(bad), "2", "0")
+    assert code == 2
+    assert err.startswith("error:") and "exceeds the limit" in err
+
+
 def test_aliased_state_keys_exit_2(tmp_path, capsys):
     obj = dfa_to_obj(universal_dfa())
     obj["delta"]["00"] = {"a": 0}

@@ -1,7 +1,9 @@
 """Grammars: CNF, CYK, bounded enumeration, and the three built-in
 pattern languages with their independent checks."""
 
+import random
 import re
+import time
 from itertools import combinations, product
 
 import pytest
@@ -13,6 +15,7 @@ from aplang.grammar import (
     THM2_GRAMMAR,
     ZERO_N_ONE_N_GRAMMAR,
     ZERO_ONE_ALPHABET,
+    count_thm5_by_length,
     cyk_accepts,
     enumerate_cfg_words,
     enumerate_thm5_by_length,
@@ -233,18 +236,34 @@ def simple_thm5_members(length: int) -> set[str]:
                 runs = (m - 1) + (n - 1) + (p - 1)
                 leftover = length - (4 * (m + n + p) + 4)
                 for comp in exact_compositions(leftover, runs):
-                    it = iter(comp)
-                    parts = []
-                    for (x, y, z), count in zip(
-                        (("a", "b", "c"), ("d", "e", "f"), ("g", "h", "i")),
-                        (m, n, p),
-                    ):
-                        parts.append(x + "0" * (3 * count + 1) + y)
-                        for _ in range(count - 2):
-                            parts.append("0" * next(it) + z)
-                        parts.append("0" * next(it))
-                    out.add("".join(parts) + "j")
+                    out.add(thm5_member(m, n, p, comp))
     return out
+
+
+def thm5_member(m: int, n: int, p: int, runs) -> str:
+    """The member with block counts (m, n, p) and the given variable zero
+    runs, in order."""
+    it = iter(runs)
+    parts = []
+    for (x, y, z), count in zip(
+        (("a", "b", "c"), ("d", "e", "f"), ("g", "h", "i")), (m, n, p)
+    ):
+        parts.append(x + "0" * (3 * count + 1) + y)
+        for _ in range(count - 2):
+            parts.append("0" * next(it) + z)
+        parts.append("0" * next(it))
+    return "".join(parts) + "j"
+
+
+def random_thm5_member(rng: random.Random, length: int) -> str:
+    while True:
+        m, n, p = (rng.randint(3, length // 15) for _ in range(3))
+        runs = m + n + p - 3
+        leftover = length - (4 * (m + n + p) + 4)
+        if leftover >= runs:
+            break
+    cuts = sorted(rng.sample(range(1, leftover), runs - 1))
+    return thm5_member(m, n, p, [b - a for a, b in zip([0] + cuts, cuts + [leftover])])
 
 
 def test_enumerator_agrees_with_reference_generation():
@@ -274,6 +293,10 @@ def test_enumerator_prefilter_validation():
         list(enumerate_thm5_by_length(100, "ab?de?gh?x"))  # x is not a letter
     with pytest.raises(ValueError):
         list(enumerate_thm5_by_length(-1))
+    # the counter rejects the same inputs
+    for length, pattern in ((99, "ab?de?gh?j"), (100, "abc"), (100, "ab?de?gh?x"), (-1, None)):
+        with pytest.raises(ValueError):
+            count_thm5_by_length(length, pattern)
 
 
 @pytest.mark.parametrize(
@@ -308,6 +331,15 @@ def test_enumerator_counts_the_y100_sweep():
     assert sum(1 for _ in enumerate_thm5_by_length(100, "ab?de?gh?j")) == 6859
 
 
+def test_enumerator_gives_up_early_on_a_pin_only_earlier_units_hold():
+    # the second a can only be the first block's letter, which is already
+    # placed; the lookahead sees that before trying any run composition
+    t0 = time.perf_counter()
+    assert list(enumerate_thm5_by_length(100, "a0c?000a0j")) == []
+    assert time.perf_counter() - t0 < 10
+    assert count_thm5_by_length(100, "a0c?000a0j") == (0, None)
+
+
 def test_enumerator_witness_is_found_with_staircase_prefilter():
     members = list(enumerate_thm5_by_length(100, "abcdefghij"))
     assert thm5_witness(1) in members
@@ -315,6 +347,63 @@ def test_enumerator_witness_is_found_with_staircase_prefilter():
 
     for w in members:
         assert diag_word(w) == "abcdefghij"
+
+
+# --- the thm5 counter, checked against the enumerator ----------------------------
+
+
+def assert_counter_matches_enumerator(length, pattern=None):
+    """The counter's count and member agree with the enumerator's list;
+    returns the count."""
+    members = list(enumerate_thm5_by_length(length, pattern))
+    count, member = count_thm5_by_length(length, pattern)
+    assert count == len(members)
+    if members:
+        assert member in members
+    else:
+        assert member is None
+    return count
+
+
+@pytest.mark.parametrize("length", range(44, 57))
+def test_counter_matches_enumerator_unfiltered(length):
+    assert_counter_matches_enumerator(length)
+
+
+def test_counter_matches_enumerator_on_the_sweep_sizes():
+    assert assert_counter_matches_enumerator(100, "ab?de?gh?j") == 6859
+    assert assert_counter_matches_enumerator(64) == 155305
+
+
+@pytest.mark.parametrize("length", [49, 64, 100])
+def test_counter_matches_enumerator_on_seeded_masks(length):
+    # a member's diagonal with three symbols hidden by "?" or replaced, so
+    # both realizable and unrealizable masks occur; at 100 the member is
+    # the t=1 witness, since a random member's diagonal is nearly all
+    # zeros there and leaves billions of members to list
+    from aplang.diag import diag_word
+
+    rng = random.Random(length)
+    patterns = ["a0c?000a0j"] if length == 100 else []
+    for _ in range(20):
+        member = thm5_witness(1) if length == 100 else random_thm5_member(rng, length)
+        pattern = list(diag_word(member))
+        for k in rng.sample(range(len(pattern)), 3):
+            pattern[k] = rng.choice(("?", rng.choice("abcdefghij0")))
+        patterns.append("".join(pattern))
+    counts = [assert_counter_matches_enumerator(length, p) for p in patterns]
+    assert any(counts) and not all(counts)
+
+
+def test_counter_finds_the_realizable_169_forms_the_enumerator_finds():
+    realizable = set()
+    for t1 in range(1, 5):
+        for t2 in range(1, 6 - t1):
+            t3 = 6 - t1 - t2
+            pattern = "ab" + "c" * t1 + "de" + "f" * t2 + "gh" + "i" * t3 + "j"
+            if assert_counter_matches_enumerator(169, pattern):
+                realizable.add(pattern)
+    assert realizable == {"abccdeffghiij"}
 
 
 # --- concatenation structure -------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from aplang.diag import build_diag_nfa
 from aplang.jsonio import (
+    MAX_STATES,
     dfa_to_obj,
     load_dfa,
     nfa_to_obj,
@@ -143,6 +144,16 @@ def test_state_keys_must_be_canonical(key):
     }
     with pytest.raises(ValueError, match="canonical decimal"):
         obj_to_nfa(nfa)
+
+
+def test_state_count_is_bounded():
+    # the count is checked before any table is built, so nothing is allocated
+    dfa = dfa_to_obj(universal_dfa())
+    nfa = nfa_to_obj(universal_dfa().to_nfa())
+    for obj, load in ((dfa, obj_to_dfa), (nfa, obj_to_nfa)):
+        obj["states"] = MAX_STATES + 1
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            load(obj)
 
 
 def test_file_round_trip(tmp_path):

@@ -42,3 +42,22 @@ def test_word_oracles_share_nothing_with_the_construction():
         if name in construction
     }
     assert used == set()
+
+
+def test_thm5_counter_and_enumerator_share_no_functions():
+    # the enumerator is the counter's oracle: both read the checked pin
+    # tables of _thm5_pins, and neither names a function of the other
+    tree = ast.parse((SRC / "grammar.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def defined(fn: str) -> set[str]:
+        return {n.name for n in ast.walk(defs[fn]) if isinstance(n, ast.FunctionDef)}
+
+    def named(fn: str) -> set[str]:
+        return {n.id for n in ast.walk(defs[fn]) if isinstance(n, ast.Name)}
+
+    counter = defined("count_thm5_by_length")
+    enumerator = defined("enumerate_thm5_by_length") | {"_thm5_units"}
+    assert "_thm5_units" in named("enumerate_thm5_by_length")
+    assert named("count_thm5_by_length") & enumerator == set()
+    assert named("enumerate_thm5_by_length") & counter == set()
