@@ -35,7 +35,10 @@ def diag_word(w: W) -> W:
 
 
 def build_diag_nfa(d: Dfa, *, gap_after: bool = False) -> Nfa:
-    """NFA accepting exactly the diagonal words of the DFA's language.
+    """NFA accepting exactly the diagonal words of the DFA's language,
+    built on d's minimal DFA: the diagonal depends on the language alone,
+    and the minimal DFA's orbit has an index no larger and a period
+    dividing d's.
 
     After the first letter a state is the triple (reach, steps, gap) of
     ints: reach holds the bits of the source states reachable so far, and
@@ -56,6 +59,7 @@ def build_diag_nfa(d: Dfa, *, gap_after: bool = False) -> Nfa:
     at two letters; the verification harness builds it to demonstrate
     the divergence.
     """
+    d = d.minimized()
     mats, m = incidence_matrices(d)
     orbit = power_orbit(m)
     k = len(d.alphabet)

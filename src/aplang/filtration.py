@@ -2,10 +2,11 @@
 
 filter_word keeps the letters at indices b, a+b, 2a+b, ...  The automaton
 construction lifts this to a regular language: states are boolean row
-vectors over the source DFA's state set, stepped by cached powers of the
-transition-union matrix, so any (a, b), however large, costs the same.
-A word-level oracle recomputes filtered languages by direct state-set
-simulation, sharing nothing with the matrix construction; walking a built
+vectors over the states of the source's minimal DFA, stepped by cached
+powers of the transition-union matrix, so any (a, b), however large,
+costs the same.  A word-level oracle recomputes filtered languages by
+direct state-set simulation of the source as given, sharing nothing
+with the matrix construction, not even the minimization; walking a built
 automaton in lockstep with that simulation finds the least word on which
 the two disagree without listing words.
 """
@@ -87,10 +88,16 @@ class FilteredAutomata:
     half, (the start state's row of M^offset, whether the empty word is
     filtered in), depends on the offset alone.  The builder reads nothing
     else, so filters with equal halves have equal filtered languages.
+
+    The filtered language depends on L(d) alone, so everything is built
+    on d's minimal DFA (the source).  If M^(i+p) = M^i in d, the same
+    holds in any quotient of d, so the source's orbit index is at most i
+    and its period divides p: no source state, orbit power or half is
+    made by unreachable or equivalent states of d.
     """
 
     def __init__(self, d: Dfa) -> None:
-        self.source = d
+        self.source = d = d.minimized()
         self.mats, m = incidence_matrices(d)
         self.orbit = power_orbit(m)
         self.shortest = d.shortest_word_length()
@@ -333,35 +340,40 @@ class FiltrationAtlas:
 
 def enumeration_window(d: Dfa) -> tuple[int, int]:
     """Window (step_max, offset_bound) that exhibits every combination of
-    FilteredAutomata halves that a family member of d has, in every family.
+    step and offset halves, read off d's own orbit, that a family member
+    of d has, in every family.  A quotient of d has an index no larger and
+    a period dividing d's, so d's window also covers the halves of its
+    minimal DFA, which FilteredAutomata builds on.
 
     Let M's orbit have index i and period p, D = i + p = len(powers), and
     lmin the shortest accepted length (0 for the empty language).
 
-    - Step half (stride position, fold): for a > D the fold is D and
-      reduce(a-1) = i + (a-1-i) mod p, so it repeats with period p in a,
-      and every step shares it with one in [1, D + p].
+    - Step half (stride position, fold): for a >= D the fold is
+      min(a, D) = D and a-1 >= i, so reduce(a-1) = i + (a-1-i) mod p; the
+      half repeats with period p from a = D on, and every step shares it
+      with one in [1, D + p - 1].
     - Offset half (start row, empty-word bit): for b >= max(i, lmin) the
       start row e_start * M^b repeats with period p in b and the bit is
       constant, so every offset b shares it with a reduced offset
       b' < offset_bound = max(i, lmin) + p.
     - Weak, shift and strong pairs are therefore all covered once
-      step_max >= D + p, which holds as D <= offset_bound.
-    - Ordinary pairs (b < a): if a <= D then b < D <= offset_bound and the
-      pair is in the window already.  Otherwise the interval
-      (max(D, b'), max(D, b') + p] holds a step a' congruent to a mod p:
-      a' > D gives it the step half of a, a' > b' keeps (a', b')
-      ordinary, and a' <= offset_bound + p since D <= offset_bound and
-      b' < offset_bound.
+      step_max >= D + p - 1, which holds as D <= offset_bound.
+    - Ordinary pairs (b < a): a pair with a <= offset_bound + p - 1 and
+      b < offset_bound is in the window already.  Otherwise a >= D, as
+      a > b >= offset_bound >= D or a >= offset_bound + p > D.  Then the
+      interval [max(D, b'+1), max(D, b'+1) + p - 1] holds a step a'
+      congruent to a mod p: a' >= D gives it the step half of a, a' > b'
+      keeps (a', b') ordinary, and a' <= offset_bound + p - 1 since
+      D <= offset_bound and b' + 1 <= offset_bound.
 
-    Hence step_max = offset_bound + p.
+    Hence step_max = offset_bound + p - 1.
     """
     _, m = incidence_matrices(d)
     orbit = power_orbit(m)
     shortest = d.shortest_word_length()
     lmin = 0 if shortest is None else shortest
     offset_bound = max(orbit.index, lmin) + orbit.period
-    return offset_bound + orbit.period, offset_bound
+    return offset_bound + orbit.period - 1, offset_bound
 
 
 def enumerate_distinct_filtrations(d: Dfa, family: FilterFamily) -> FiltrationAtlas:
@@ -375,8 +387,8 @@ def enumerate_distinct_filtrations(d: Dfa, family: FilterFamily) -> FiltrationAt
     pairs in lexicographic order looks up each pair's language and keeps
     the first pair per language, stopping once every language has one.
     """
-    step_max, offset_bound = enumeration_window(d)
     automata = FilteredAutomata(d)
+    step_max, offset_bound = enumeration_window(automata.source)
     offset_ids: dict[tuple[int, bool], int] = {}
     offset_id = [
         offset_ids.setdefault(automata.offset_half(b), len(offset_ids))

@@ -10,6 +10,7 @@ true and false are rejected, although Python counts them as ints.  A
 delta key must spell its state in canonical decimal ("3", not "03",
 "+3" or "3_0"), so no two keys can name the same state.  "states" may
 be at most MAX_STATES, so a small file cannot ask for a huge table.
+Top-level keys other than the format's are ignored.
 Writers always emit complete tables, so a write followed by a read
 reproduces the in-memory value exactly.
 """
@@ -22,8 +23,8 @@ from typing import Any
 from .automata import Alphabet, Dfa, Nfa
 
 # Above the largest automata the toolkit writes and reads back (the diagonal
-# NFA of a period-210 automaton has 44 101 states), and small enough that a
-# table with this many rows fits in memory.
+# NFA of the minimal period-210 hub chain has 91 800 states), and small
+# enough that a table with this many rows fits in memory.
 MAX_STATES = 1 << 20
 
 
@@ -151,9 +152,16 @@ def obj_to_nfa(obj: dict) -> Nfa:
     )
 
 
-def load_dfa(path: str) -> Dfa:
+def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
-        return obj_to_dfa(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
+def load_dfa(path: str) -> Dfa:
+    return obj_to_dfa(_load_json(path))
 
 
 def save_dfa(d: Dfa, path: str) -> None:
@@ -163,8 +171,7 @@ def save_dfa(d: Dfa, path: str) -> None:
 
 
 def load_nfa(path: str) -> Nfa:
-    with open(path, encoding="utf-8") as fh:
-        return obj_to_nfa(json.load(fh))
+    return obj_to_nfa(_load_json(path))
 
 
 def save_nfa(n: Nfa, path: str) -> None:

@@ -39,8 +39,9 @@ from .diag import (
 from .filtration import (
     ArithFilter,
     FilterFamily,
-    build_filtered_dfa,
+    FilteredAutomata,
     enumerate_distinct_filtrations,
+    enumeration_window,
     filter_word,
     first_disagreement,
 )
@@ -147,11 +148,14 @@ def verify_thm1(
         cells = 0
         for i in range(pool_size):
             d = random_dfa(rng, 5)
+            automata = FilteredAutomata(d)
             for a in range(1, step_limit + 1):
                 for b in range(offset_limit + 1):
                     f = ArithFilter(a, b)
                     try:
-                        built = build_filtered_dfa(d, f)
+                        built = automata.build(
+                            automata.step_half(a), [automata.offset_half(b)]
+                        )
                     except RuntimeError as exc:
                         result.outcome = "FAIL"
                         result.witness = f"automaton {i}, {f}: {exc}"
@@ -177,14 +181,17 @@ def verify_thm1(
         atlas_sizes: dict[str, int] = {}
         for i in range(finiteness_pool):
             d = random_dfa(rng, 5)
+            automata = FilteredAutomata(d)
+            # d's own window, not the minimal DFA's that the atlas uses
+            step_max, offset_bound = enumeration_window(d)
             for family in FilterFamily:
                 atlas = enumerate_distinct_filtrations(d, family)
                 forms = atlas.canonical_forms()
-                for f in family.window_pairs(
-                    2 * atlas.step_window + 1, 2 * atlas.offset_window
-                ):
-                    canon = build_filtered_dfa(d, f).minimized()
-                    if canon not in forms:
+                for f in family.window_pairs(2 * step_max + 1, 2 * offset_bound):
+                    built = automata.build(
+                        automata.step_half(f.step), [automata.offset_half(f.offset)]
+                    )
+                    if built.minimized() not in forms:
                         result.outcome = "FAIL"
                         result.witness = (
                             f"automaton {i}, family {family.value}, {f}: "

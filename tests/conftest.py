@@ -74,6 +74,25 @@ def hub_chain_dfa(cycles: tuple[int, ...], seed: int = 1) -> Dfa:
     return Dfa(AB, len(delta), 0, frozenset(accepting), tuple(delta))
 
 
+def padded_copy(d: Dfa, rng: random.Random, extra: int = 3) -> Dfa:
+    """A DFA for the same language with more states: a duplicate of every
+    state, equivalent to it, that transitions reach at random in place of
+    the original, then `extra` unreachable states with random transitions
+    among themselves and into the rest, and random acceptance."""
+    n, k = d.size, len(d.alphabet)
+
+    def target(t: int) -> int:
+        return t + n * rng.randrange(2)
+
+    delta = [tuple(target(t) for t in d.delta[q % n]) for q in range(2 * n)]
+    delta.extend(
+        tuple(rng.randrange(2 * n + extra) for _ in range(k)) for _ in range(extra)
+    )
+    accepting = {q for q in range(2 * n) if q % n in d.accepting}
+    accepting.update(q for q in range(2 * n, 2 * n + extra) if rng.random() < 0.5)
+    return Dfa(d.alphabet, 2 * n + extra, target(d.start), frozenset(accepting), tuple(delta))
+
+
 @pytest.fixture
 def ab_star() -> Dfa:
     return ab_star_dfa()

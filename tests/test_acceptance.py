@@ -22,6 +22,7 @@ from aplang.diag import (
 from aplang.filtration import (
     ArithFilter,
     FilterFamily,
+    FilteredAutomata,
     build_filtered_dfa,
     enumerate_distinct_filtrations,
     filter_word,
@@ -106,10 +107,12 @@ def test_criterion_4_state_bound():
 
 def test_criterion_4_bound_violation_is_a_fail(monkeypatch):
     # the builder raises past 2^n + 1 states; thm1 reports that as FAIL
-    def over_bound(d, f):
-        raise RuntimeError(f"{(1 << d.size) + 2} states exceed the subset bound")
+    def over_bound(automata, step_half, offset_halves):
+        raise RuntimeError(
+            f"{(1 << automata.source.size) + 2} states exceed the subset bound"
+        )
 
-    monkeypatch.setattr(aplang.verification, "build_filtered_dfa", over_bound)
+    monkeypatch.setattr(FilteredAutomata, "build", over_bound)
     result = verify_thm1(pool_size=1, finiteness_pool=0)
     assert result.outcome == "FAIL"
     assert result.witness.startswith("automaton 0, (a=1, b=0): ")

@@ -215,11 +215,13 @@ def test_matrix_validation():
 def test_process_caches_are_bounded_and_keep_thm1s_reuse():
     for cache in (power_orbit, _cnf_form, _cyk_indexes):
         assert cache.cache_info().maxsize is not None
-    # more automata than the cache holds, each one's orbit computed once
+    # more automata than the cache holds, each one's orbit computed once:
+    # thm1 keeps one FilteredAutomata per automaton for its 20 cells, so
+    # each automaton looks its orbit up exactly once
     pool = power_orbit.cache_info().maxsize + 8
     power_orbit.cache_clear()
     assert verify_thm1(pool_size=pool, finiteness_pool=0).outcome == "PASS"
     info = power_orbit.cache_info()
     assert info.misses <= pool
-    assert info.hits >= 19 * pool
+    assert info.hits + info.misses == pool
     assert info.currsize <= info.maxsize

@@ -18,7 +18,14 @@ from aplang.diag import (
 )
 from aplang.verification import random_dfa
 
-from conftest import AB, ab_star_dfa, empty_dfa, single_word_dfa, universal_dfa
+from conftest import (
+    AB,
+    ab_star_dfa,
+    empty_dfa,
+    hub_chain_dfa,
+    single_word_dfa,
+    universal_dfa,
+)
 
 
 # --- diag on words -----------------------------------------------------------
@@ -229,23 +236,40 @@ def coprime_cycle_dfa(lengths: tuple[int, ...]) -> Dfa:
 
 
 def test_diag_state_count_on_coprime_cycles():
-    """The (3, 4, 5) cycle automaton's diagonal NFA has exactly 1 + 60^2
+    """The (3, 4, 5) cycle automaton's diagonal NFA has exactly 1 + 3^2
     states.
 
-    M is the permutation of the three cycles, so its orbit has index 0
-    and period p = lcm(3, 4, 5) = 60, and a gap guess or a running power
-    is a residue mod 60.  Both letters apply M, so after t letters with
-    gap guess g the reach vector is e_0 M^(1 + (t-1)(g+1)): a function
-    of (t mod 60, g), which the state already records as (steps, gap).
-    Every pair is reached, because the first letter fans out over all 60
-    guesses and steps then runs through every residue.  That gives p^2
-    states after the first letter, plus the initial state.
+    Its union matrix permutes the three cycles, with orbit index 0 and
+    period lcm(3, 4, 5) = 60, but only the 3-cycle through the start is
+    reachable, so the NFA is built on that 3-cycle: the minimal DFA, whose
+    M is a 3-cycle permutation with index 0 and period p = 3.  A gap
+    guess or a running power is then a residue mod 3.  Both letters apply
+    M, so after t letters with gap guess g the reach vector is
+    e_0 M^(1 + (t-1)(g+1)): a function of (t mod 3, g), which the state
+    already records as (steps, gap).  Every pair is reached, because the
+    first letter fans out over all 3 guesses and steps then runs through
+    every residue.  That gives p^2 states after the first letter, plus
+    the initial state.
     """
     d = coprime_cycle_dfa((3, 4, 5))
-    _, m = incidence_matrices(d)
-    orbit = power_orbit(m)
+    orbit = power_orbit(incidence_matrices(d)[1])
     assert (orbit.index, orbit.period) == (0, 60)
-    assert build_diag_nfa(d).size == 1 + 60 * 60
+    minimal = d.minimized()
+    orbit = power_orbit(incidence_matrices(minimal)[1])
+    assert (minimal.size, orbit.index, orbit.period) == (3, 0, 3)
+    assert build_diag_nfa(d).size == 1 + 3 * 3
+
+
+@pytest.mark.parametrize(
+    "cycles, size", [((3, 4, 5), 7874), ((3, 5, 7), 23219)], ids=["p60", "p105"]
+)
+def test_diag_state_count_on_hub_chains(cycles, size):
+    # the hub chains are minimal with long orbits, so building on the
+    # minimal DFA leaves their NFAs as large as on the DFA as given; the
+    # sizes are pinned from the construction on the DFA as given
+    d = hub_chain_dfa(cycles)
+    assert d.minimized().size == d.size
+    assert build_diag_nfa(d).size == size
 
 
 def test_diag_nfa_folds_back_through_orbit_index():

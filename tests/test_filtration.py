@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import aplang.verification
 from aplang.automata import Dfa
 from aplang.boolmat import incidence_matrices, power_orbit
+from aplang.diag import build_diag_nfa
 from aplang.filtration import (
     ArithFilter,
     FilterFamily,
@@ -30,6 +30,7 @@ from conftest import (
     b_ab_star_dfa,
     empty_dfa,
     hub_chain_dfa,
+    padded_copy,
     universal_dfa,
     zeros_then_one_dfa,
 )
@@ -158,21 +159,49 @@ def test_signature_soundness_within_window():
 
 
 def test_window_holds_every_signature():
-    # enumeration_window's docstring proves the window; a tripled window
-    # must add no combination of halves in any family
+    # enumeration_window's docstring proves the window.  Taken from the
+    # minimal source, as the atlas takes it (d's own window contains it),
+    # a tripled window must add no combination of halves in any family,
+    # and the last step is needed: dropping it loses an ordinary pair for
+    # every automaton here, so the bound offset_bound + period - 1 is exact
     rng = random.Random(30)
-    for _ in range(200):
-        d = random_dfa(rng, 5)
-        a_max, b_bound = enumeration_window(d)
-        automata = FilteredAutomata(d)
-        for family in FilterFamily:
-            def halves(step_max, offset_bound):
-                return {
-                    (automata.step_half(f.step), automata.offset_half(f.offset))
-                    for f in family.window_pairs(step_max, offset_bound)
-                }
+    pool = 200
+    tight = 0
+    for _ in range(pool):
+        automata = FilteredAutomata(random_dfa(rng, 5))
+        a_max, b_bound = enumeration_window(automata.source)
 
-            assert halves(3 * a_max, 3 * b_bound) == halves(a_max, b_bound), (d, family)
+        def halves(family, step_max, offset_bound):
+            return {
+                (automata.step_half(f.step), automata.offset_half(f.offset))
+                for f in family.window_pairs(step_max, offset_bound)
+            }
+
+        for family in FilterFamily:
+            assert halves(family, 3 * a_max, 3 * b_bound) == halves(family, a_max, b_bound)
+        ordinary = FilterFamily.ORDINARY
+        tight += halves(ordinary, a_max - 1, b_bound) != halves(ordinary, a_max, b_bound)
+    assert tight == pool
+
+
+def test_constructions_ignore_unreachable_and_equivalent_states():
+    # the constructions depend on the language alone: a copy padded with
+    # duplicates of equivalent states and with unreachable states gives
+    # the same atlases, filtered languages and diagonal NFA
+    rng = random.Random(33)
+    for _ in range(40):
+        d = random_dfa(rng, 4)
+        padded = padded_copy(d, rng)
+        assert padded.minimized() == d.minimized()
+        for family in FilterFamily:
+            atlas = enumerate_distinct_filtrations(d, family)
+            assert enumerate_distinct_filtrations(padded, family) == atlas
+        for a, b in ((1, 0), (2, 1), (3, 4), (5, 2)):
+            f = ArithFilter(a, b)
+            assert build_filtered_dfa(padded, f).minimized() == build_filtered_dfa(
+                d, f
+            ).minimized()
+        assert build_diag_nfa(padded) == build_diag_nfa(d)
 
 
 # --- construction vs oracle ---------------------------------------------------
@@ -307,8 +336,16 @@ def test_word_oracles_reject_negative_lengths(ab_star):
 
 
 def test_thm1_fails_with_the_word_set_witness(monkeypatch):
-    monkeypatch.setattr(aplang.verification, "build_filtered_dfa", flip_last_state)
+    # thm1 builds each cell through its automaton's FilteredAutomata.build
+    build = FilteredAutomata.build
+
+    def flipped(automata, step_half, offset_halves):
+        built = build(automata, step_half, offset_halves)
+        return replace(built, accepting=built.accepting ^ {built.size - 1})
+
+    monkeypatch.setattr(FilteredAutomata, "build", flipped)
     result = verify_thm1(finiteness_pool=0)
+    monkeypatch.undo()
     assert result.outcome == "FAIL"
     rng = random.Random(DEFAULT_SEED)
     cells = (

@@ -156,6 +156,14 @@ def test_state_count_is_bounded():
             load(obj)
 
 
+def test_unknown_top_level_keys_are_ignored():
+    d = ab_star_dfa()
+    n = build_diag_nfa(d)
+    extra = {"comment": "made by hand", "version": [1, 2], "start ": None}
+    assert obj_to_dfa({**dfa_to_obj(d), **extra}) == d
+    assert obj_to_nfa({**nfa_to_obj(n), **extra}) == n
+
+
 def test_file_round_trip(tmp_path):
     d = ab_star_dfa()
     path = tmp_path / "m.json"

@@ -44,6 +44,27 @@ def test_word_oracles_share_nothing_with_the_construction():
     assert used == set()
 
 
+def test_oracles_walk_the_source_as_given():
+    # the constructions run on the minimal DFA; the oracles must not, so
+    # every claim also checks the minimization
+    oracles = {
+        "filtration.py": {"_SourceWalk", "filtered_language_oracle", "first_disagreement"},
+        "diag.py": {"diag_oracle_accepts", "diag_oracle_exhaustive"},
+    }
+    quotient = {"minimized", "language_classes", "canonical_from", "equivalent"}
+    for module, names in oracles.items():
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        defs = [node for node in tree.body if getattr(node, "name", None) in names]
+        assert {node.name for node in defs} == names
+        used = {
+            (node.name, sub.attr)
+            for node in defs
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr in quotient
+        }
+        assert used == set()
+
+
 def test_thm5_counter_and_enumerator_share_no_functions():
     # the enumerator is the counter's oracle: both read the checked pin
     # tables of _thm5_pins, and neither names a function of the other
