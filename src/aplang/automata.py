@@ -44,9 +44,6 @@ class Alphabet:
         """Parse a word of single-character tokens."""
         return tuple(self.index(ch) for ch in text)
 
-    def word_of(self, tokens: Iterable[str]) -> Word:
-        return tuple(self.index(t) for t in tokens)
-
     def format(self, word: Word) -> str:
         return "".join(self.names[s] for s in word)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
 from math import isqrt
+import re
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .automata import Alphabet, Word
@@ -270,71 +271,85 @@ def cyk_accepts(g: Cfg, w: Word) -> bool:
     return cnf.start in table[0][n]
 
 
-def _min_yields(g: Cfg) -> dict[str, int]:
-    """Shortest derivable terminal length per productive nonterminal."""
-    nts = g.nonterminal_set()
-    yields: dict[str, int] = {}
+def enumerate_cfg_words(g: Cfg, max_len: int) -> set[Word]:
+    """Exactly the generated words of length <= max_len, by breadth-first
+    leftmost derivation over sentential forms, pruned by each
+    nonterminal's minimum yield.
+
+    A form is a str with one character per symbol: terminal i is chr(i)
+    and nonterminal j is chr(k + j) for k terminals, so substitution,
+    the seen set and the search for the leftmost nonterminal are native
+    str operations.  The rules are first made epsilon-free (each nullable
+    occurrence dropped in every way, empty right-hand sides dropped, the
+    empty word added iff the start is nullable), so every symbol yields at
+    least one letter, a form has at most max_len symbols and the search
+    ends even when a nullable nonterminal repeats.  Each coded right-hand
+    side carries its bound increment (its symbols' minimum yields minus
+    the head's), so a queued form carries its own lower bound, and the
+    scan for its leftmost nonterminal resumes where its parent's stopped.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative")
+    k = len(g.terminals)
+    code = {name: chr(i) for i, name in enumerate(g.terminals.names)}
+    code.update((nt, chr(k + j)) for j, nt in enumerate(g.nonterminals))
+    nullable: set[str] = set()
     changed = True
     while changed:
         changed = False
         for lhs, rhs in g.productions():
-            total = 0
-            ok = True
-            for sym in rhs:
-                if sym in nts:
-                    if sym not in yields:
-                        ok = False
-                        break
-                    total += yields[sym]
-                else:
-                    total += 1
-            if ok and (lhs not in yields or total < yields[lhs]):
-                yields[lhs] = total
+            if lhs not in nullable and all(sym in nullable for sym in rhs):
+                nullable.add(lhs)
                 changed = True
-    return yields
+    # dicts keep the rule order and drop repeated right-hand sides
+    rules: dict[str, dict[str, None]] = {code[nt]: {} for nt in g.nonterminals}
+    for lhs, rhs in g.productions():
+        options = [(code[sym], "") if sym in nullable else (code[sym],) for sym in rhs]
+        rules[code[lhs]].update(dict.fromkeys(filter(None, map("".join, product(*options)))))
 
+    yields = {chr(i): 1 for i in range(k)}
+    changed = True
+    while changed:
+        changed = False
+        for head, bodies in rules.items():
+            for body in bodies:
+                if all(ch in yields for ch in body):
+                    total = sum(map(yields.__getitem__, body))
+                    if total < yields.get(head, total + 1):
+                        yields[head] = total
+                        changed = True
+    # rules with an unproductive symbol derive no word
+    coded = {
+        head: [
+            (body, sum(map(yields.__getitem__, body)) - yields[head])
+            for body in bodies
+            if all(ch in yields for ch in body)
+        ]
+        for head, bodies in rules.items()
+        if head in yields
+    }
 
-def enumerate_cfg_words(g: Cfg, max_len: int) -> set[Word]:
-    """Exactly the generated words of length <= max_len, by breadth-first
-    leftmost derivation over sentential forms, pruned by each
-    nonterminal's minimum yield."""
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
-    yields = _min_yields(g)
-    if g.start not in yields:
-        return set()
-    nts = g.nonterminal_set()
-
-    def lower_bound(form: tuple[str, ...]) -> Optional[int]:
-        total = 0
-        for sym in form:
-            if sym in nts:
-                y = yields.get(sym)
-                if y is None:
-                    return None
-                total += y
-            else:
-                total += 1
-        return total
-
-    out: set[Word] = set()
-    start_form = (g.start,)
-    seen = {start_form}
-    queue = deque([start_form])
+    out: set[Word] = {()} if g.start in nullable else set()
+    start = code[g.start]
+    if start not in yields:
+        return out
+    find_nonterminal = re.compile(f"[\\U{k:08x}-\\U{k + len(g.nonterminals) - 1:08x}]").search
+    seen = {start}
+    queue = deque([(start, 0, yields[start])])
     while queue:
-        form = queue.popleft()
-        for pos, sym in enumerate(form):
-            if sym in nts:
-                break
-        else:
-            out.add(g.terminals.word_of(form))
+        form, pos, bound = queue.popleft()
+        found = find_nonterminal(form, pos)
+        if found is None:
+            out.add(tuple(map(ord, form)))
             continue
-        for rhs in g.rhs_for(sym):
-            new_form = form[:pos] + rhs + form[pos + 1 :]
-            bound = lower_bound(new_form)
-            if bound is not None and bound <= max_len and new_form not in seen:
-                seen.add(new_form)
-                queue.append(new_form)
+        pos = found.start()
+        before, after = form[:pos], form[pos + 1 :]
+        for body, step in coded[form[pos]]:
+            if bound + step <= max_len:
+                new_form = before + body + after
+                if new_form not in seen:
+                    seen.add(new_form)
+                    queue.append((new_form, pos, bound + step))
     return out
 
 

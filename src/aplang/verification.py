@@ -267,12 +267,9 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
                     f"a={a}: grammar enumeration and pattern enumeration differ"
                 )
                 return
-            by_source = {
-                THM2_ALPHABET.format(w): THM2_ALPHABET.format(
-                    filter_word(w, ArithFilter(a, 0))
-                )
-                for w in words
-            }
+            # filter_word slices, so filtering the formatted source equals
+            # formatting the filtered word
+            by_source = {s: filter_word(s, ArithFilter(a, 0)) for s in formatted}
             section = frozenset(x for x in by_source.values() if _is_123plus(x))
             sections[a] = section
             shown = "{}" if not section else "{" + ", ".join(sorted(section)) + "}"

@@ -3,7 +3,9 @@ pattern languages with their independent checks."""
 
 import random
 import re
+import signal
 import time
+from contextlib import contextmanager
 from itertools import combinations, product
 
 import pytest
@@ -25,6 +27,7 @@ from aplang.grammar import (
     thm5_witness,
     to_cnf,
 )
+from aplang.verification import _thm2_pattern_words
 
 
 def words_to_strings(alphabet: Alphabet, words) -> set[str]:
@@ -175,6 +178,66 @@ def test_enumerate_examples():
     }
     with pytest.raises(ValueError):
         enumerate_cfg_words(THM2_GRAMMAR, -1)
+
+
+def random_grammar(rng: random.Random) -> Cfg:
+    """1-3 nonterminals over {a, b}, each with 0-3 right-hand sides of
+    length 0-3, so epsilon rules, unit cycles and unproductive
+    nonterminals all occur."""
+    nts = ("S", "A", "B")[: rng.randint(1, 3)]
+    symbols = ("a", "b") + nts
+    rules = {
+        nt: [
+            tuple(rng.choice(symbols) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        for nt in nts
+    }
+    return Cfg.make(Alphabet(("a", "b")), nts, "S", rules)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block after `seconds`, so that a search
+    that never returns fails its test instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_enumerate_returns_when_a_nullable_nonterminal_repeats():
+    # S -> S S | eps | a: every form S^k has minimum yield 0, so without
+    # epsilon elimination the search never ran out of forms
+    g = Cfg.make(Alphabet(("a",)), ("S",), "S", {"S": [("S", "S"), (), ("a",)]})
+    with time_limit(5):
+        words = enumerate_cfg_words(g, 4)
+    assert words == {(0,) * n for n in range(5)}
+
+
+def test_enumerate_matches_cyk_on_random_grammars():
+    rng = random.Random(20111)
+    short = [w for length in range(6) for w in product(range(2), repeat=length)]
+    for _ in range(300):
+        g = random_grammar(rng)
+        with time_limit(5):
+            words = enumerate_cfg_words(g, 5)
+        assert words == {w for w in short if cyk_accepts(g, w)}, g
+
+
+def test_thm2_source_counts_are_pinned():
+    # the sources verify thm2 lists for a = 1..5, to length a(a+1)
+    counts = [len(enumerate_cfg_words(THM2_GRAMMAR, a * (a + 1))) for a in range(1, 6)]
+    assert counts == [0, 2, 27, 594, 27200]
+    formatted = words_to_strings(THM2_ALPHABET, enumerate_cfg_words(THM2_GRAMMAR, 30))
+    assert formatted == _thm2_pattern_words(30)
 
 
 # --- the three pattern predicates ------------------------------------------------

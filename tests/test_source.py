@@ -82,3 +82,30 @@ def test_thm5_counter_and_enumerator_share_no_functions():
     assert "_thm5_units" in named("enumerate_thm5_by_length")
     assert named("count_thm5_by_length") & enumerator == set()
     assert named("enumerate_thm5_by_length") & counter == set()
+
+
+def test_thm2_oracles_do_not_use_the_grammar():
+    # verify thm2 checks the grammar's words against these oracles, so
+    # neither they nor the module functions they call may name the
+    # enumerator or the grammar
+    construction = {"enumerate_cfg_words", "THM2_GRAMMAR"}
+    for module, oracle, helpers in (
+        ("grammar.py", "in_thm2", set()),
+        ("verification.py", "_thm2_pattern_words", {"_compositions"}),
+    ):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        reached, todo, named = set(), [oracle], set()
+        while todo:
+            fn = todo.pop()
+            reached.add(fn)
+            names = {
+                name
+                for sub in ast.walk(defs[fn])
+                for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
+                if name
+            }
+            named |= names
+            todo.extend(names & defs.keys() - reached)
+        assert reached == {oracle} | helpers
+        assert named & construction == set(), oracle
