@@ -45,7 +45,7 @@ class Alphabet:
         return tuple(self.index(ch) for ch in text)
 
     def format(self, word: Word) -> str:
-        return "".join(self.names[s] for s in word)
+        return "".join([self.names[s] for s in word])
 
 
 def _check_word(alphabet: Alphabet, word: Word) -> None:
@@ -117,6 +117,7 @@ class Dfa:
         return q in self.accepting
 
     def to_nfa(self) -> "Nfa":
+        """Test aid: the same automaton as an NFA of singleton target sets."""
         rows = tuple(
             tuple(frozenset((t,)) for t in row) for row in self.delta
         )
@@ -180,7 +181,7 @@ class Dfa:
         return out
 
     def equivalent(self, other: "Dfa") -> bool:
-        """Language equality, decided as identity of canonical minimized forms."""
+        """Test aid: language equality, as identity of canonical minimized forms."""
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
         return self.minimized() == other.minimized()

@@ -41,6 +41,7 @@ class BoolMatrix:
 
     @staticmethod
     def from_entries(n: int, entries) -> "BoolMatrix":
+        """Test aid: the n x n matrix with a one at each (row, column) entry."""
         rows = [0] * n
         for i, j in entries:
             rows[i] |= 1 << j

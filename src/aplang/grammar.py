@@ -92,6 +92,7 @@ class Cfg:
         return frozenset(self.nonterminals)
 
     def is_cnf(self) -> bool:
+        """Oracle for to_cnf's output: every rule has a Chomsky normal form shape."""
         nts = self.nonterminal_set()
         for lhs, rhs in self.productions():
             if rhs == ():
@@ -372,27 +373,20 @@ THM2_GRAMMAR = Cfg.make(
 
 
 def in_thm2(s: str) -> bool:
-    """Structural parse of 1 0^n 2 (0^+ 3)^n with n >= 1."""
-    i = 0
-    if i >= len(s) or s[i] != "1":
+    """Structural parse of 1 0^n 2 (0^+ 3)^n with n >= 1: n is the index of
+    the first 2 less one, and the rest is zeros and n threes that starts
+    with a zero, ends with a three and has no two threes in a row."""
+    two = s.find("2")
+    if two < 2 or s[0] != "1" or s[1:two].strip("0"):
         return False
-    i += 1
-    n = 0
-    while i < len(s) and s[i] == "0":
-        i += 1
-        n += 1
-    if n < 1 or i >= len(s) or s[i] != "2":
-        return False
-    i += 1
-    for _ in range(n):
-        run = 0
-        while i < len(s) and s[i] == "0":
-            i += 1
-            run += 1
-        if run < 1 or i >= len(s) or s[i] != "3":
-            return False
-        i += 1
-    return i == len(s)
+    rest = s[two + 1 :]
+    return (
+        rest.count("3") == two - 1
+        and rest.endswith("3")
+        and rest[0] == "0"
+        and "33" not in rest
+        and not rest.strip("03")
+    )
 
 
 # ---------------------------------------------------------------------------

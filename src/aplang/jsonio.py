@@ -171,6 +171,7 @@ def save_dfa(d: Dfa, path: str) -> None:
 
 
 def load_nfa(path: str) -> Nfa:
+    """Test aid: reads back what save_nfa and the diag-nfa command write."""
     return obj_to_nfa(_load_json(path))
 
 

@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .automata import Alphabet, Dfa, Word
 from .diag import (
@@ -184,14 +184,16 @@ def verify_thm1(
             automata = FilteredAutomata(d)
             # d's own window, not the minimal DFA's that the atlas uses
             step_max, offset_bound = enumeration_window(d)
+            # build reads only the two halves: one build per pair of halves
+            form_of: dict[tuple, Dfa] = {}
             for family in FilterFamily:
                 atlas = enumerate_distinct_filtrations(d, family)
                 forms = atlas.canonical_forms()
                 for f in family.window_pairs(2 * step_max + 1, 2 * offset_bound):
-                    built = automata.build(
-                        automata.step_half(f.step), [automata.offset_half(f.offset)]
-                    )
-                    if built.minimized() not in forms:
+                    halves = automata.step_half(f.step), automata.offset_half(f.offset)
+                    if halves not in form_of:
+                        form_of[halves] = automata.build(halves[0], [halves[1]]).minimized()
+                    if form_of[halves] not in forms:
                         result.outcome = "FAIL"
                         result.witness = (
                             f"automaton {i}, family {family.value}, {f}: "
@@ -215,28 +217,25 @@ def verify_thm1(
 # thm2: the weak filtrations of {1 0^n 2 (0^+ 3)^n : n >= 1} are distinct
 
 
-def _compositions(parts: int, total_max: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of `parts` positive integers with sum <= total_max."""
-    if parts == 0:
-        yield ()
-        return
-    for first in range(1, total_max - parts + 2):
-        for rest in _compositions(parts - 1, total_max - first):
-            yield (first,) + rest
-
-
 def _thm2_pattern_words(max_len: int) -> set[str]:
+    """The words 1 0^n 2 (0^z 3)^n, n >= 1 and every z >= 1, of length at
+    most max_len, grown one 0^z 3 block at a time from 1 0^n 2."""
     out: set[str] = set()
-    n = 1
-    while 2 + 3 * n <= max_len:
-        for comp in _compositions(n, max_len - 2 - 2 * n):
-            out.add("1" + "0" * n + "2" + "".join("0" * z + "3" for z in comp))
-        n += 1
+    stack = [("1" + "0" * n + "2", n) for n in range(1, (max_len - 2) // 3 + 1)]
+    while stack:
+        prefix, blocks = stack.pop()
+        # the blocks after this one take at least two letters each
+        room = max_len - len(prefix) - 2 * (blocks - 1)
+        grown = [prefix + "0" * z + "3" for z in range(1, room)]
+        if blocks == 1:
+            out.update(grown)
+        else:
+            stack.extend((g, blocks - 1) for g in grown)
     return out
 
 
 def _is_123plus(s: str) -> bool:
-    return len(s) >= 3 and s[0] == "1" and s[1] == "2" and set(s[2:]) == {"3"}
+    return len(s) > 2 and s.startswith("12") and not s[2:].strip("3")
 
 
 def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
@@ -269,7 +268,8 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
                 return
             # filter_word slices, so filtering the formatted source equals
             # formatting the filtered word
-            by_source = {s: filter_word(s, ArithFilter(a, 0)) for s in formatted}
+            f = ArithFilter(a, 0)
+            by_source = {s: filter_word(s, f) for s in formatted}
             section = frozenset(x for x in by_source.values() if _is_123plus(x))
             sections[a] = section
             shown = "{}" if not section else "{" + ", ".join(sorted(section)) + "}"

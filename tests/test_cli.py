@@ -20,6 +20,7 @@ from aplang.jsonio import (
     obj_to_dfa,
     save_dfa,
 )
+from aplang.verification import run_claims
 
 from conftest import AB, ab_star_dfa, b_ab_star_dfa, universal_dfa
 
@@ -276,6 +277,60 @@ def test_verify_thm2_reports_the_known_failure(capsys):
     assert "thm2: FAIL" in out
     assert "100200303" in out
     assert "pairwise distinct" in out  # the distinctness conclusion holds
+
+
+THM2_DETAILS = [
+    "a=1: sources to length 2, filtered language meets 123+ in {}",
+    "a=2: sources to length 6, filtered language meets 123+ in {123}",
+    "a=3: sources to length 12, filtered language meets 123+ in {123, 1233}",
+    "a=4: sources to length 20, filtered language meets 123+ in {123, 1233, 12333}",
+    "a=5: sources to length 30, filtered language meets 123+ in "
+    "{123, 1233, 12333, 123333}",
+    "the 5 sections are pairwise distinct (each caps at 123^(a-1)), so the "
+    "filtered languages are pairwise distinct even though the stated "
+    "singleton identity fails",
+]
+
+
+@pytest.mark.parametrize(
+    "seed, atlas_sizes",
+    [
+        (1729, "weak <= 4, ordinary <= 6, strong <= 10, shift <= 5"),
+        (1, "weak <= 3, ordinary <= 4, strong <= 8, shift <= 5"),
+    ],
+)
+def test_thm1_and_thm2_reports_are_pinned(seed, atlas_sizes):
+    thm1, thm2 = run_claims(("thm1", "thm2"), seed=seed).results
+    assert (thm1.claim, thm1.outcome, thm1.witness) == ("thm1", "PASS", None)
+    assert thm1.details == [
+        "construction vs oracle: 50 random automata, steps 1..4, offsets "
+        "0..4, words to length 7: 1000 cells agree exactly",
+        "state bound: every construction stayed within 2^n + 1 states",
+        "finiteness: 20 random automata, each atlas closed under a doubled "
+        f"enumeration window (max distinct languages: {atlas_sizes})",
+    ]
+    assert (thm2.claim, thm2.outcome) == ("thm2", "FAIL")
+    assert thm2.witness == (
+        "a=3: section is not the singleton {1233}; source 100200303 filters to 123"
+    )
+    assert thm2.details == THM2_DETAILS
+
+
+@pytest.mark.parametrize("claim, code", [("thm1", 0), ("thm2", 1)])
+def test_verify_runs_without_asserts(claim, code):
+    # python -O strips assert statements; the verdicts must not change
+    package_root = str(Path(aplang.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "aplang", "verify", claim],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == code
+    assert f"{claim}: {'PASS' if code == 0 else 'FAIL'}" in run.stdout
+    if claim == "thm2":
+        assert "source 100200303 filters to 123" in run.stdout
 
 
 def test_verify_json_format(capsys):

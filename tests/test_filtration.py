@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aplang.verification
 from aplang.automata import Dfa
 from aplang.boolmat import incidence_matrices, power_orbit
 from aplang.diag import build_diag_nfa
@@ -362,6 +363,27 @@ def test_thm1_fails_with_the_word_set_witness(monkeypatch):
     assert result.witness == (
         f"automaton {i}, {f}: construction and oracle "
         f"disagree on {d.alphabet.format(diff)!r}"
+    )
+
+
+@pytest.mark.parametrize("family", list(FilterFamily))
+def test_thm1_finds_a_language_missing_from_the_atlas(monkeypatch, family):
+    # (1, 0) is every family's first pair; from the second family on, its
+    # halves' form is already built when the family's atlas is checked
+    enumerate_atlas = aplang.verification.enumerate_distinct_filtrations
+
+    def without_first(d, fam):
+        atlas = enumerate_atlas(d, fam)
+        return replace(atlas, entries=atlas.entries[1:]) if fam is family else atlas
+
+    monkeypatch.setattr(
+        aplang.verification, "enumerate_distinct_filtrations", without_first
+    )
+    result = verify_thm1(pool_size=1, finiteness_pool=2)
+    assert result.outcome == "FAIL"
+    assert result.witness == (
+        f"automaton 0, family {family.value}, (a=1, b=0): "
+        f"language missing from the atlas"
     )
 
 

@@ -27,7 +27,7 @@ from aplang.grammar import (
     thm5_witness,
     to_cnf,
 )
-from aplang.verification import _thm2_pattern_words
+from aplang.verification import _is_123plus, _thm2_pattern_words
 
 
 def words_to_strings(alphabet: Alphabet, words) -> set[str]:
@@ -236,8 +236,34 @@ def test_thm2_source_counts_are_pinned():
     # the sources verify thm2 lists for a = 1..5, to length a(a+1)
     counts = [len(enumerate_cfg_words(THM2_GRAMMAR, a * (a + 1))) for a in range(1, 6)]
     assert counts == [0, 2, 27, 594, 27200]
+    sizes = [len(_thm2_pattern_words(a * (a + 1))) for a in range(1, 6)]
+    assert sizes == counts
     formatted = words_to_strings(THM2_ALPHABET, enumerate_cfg_words(THM2_GRAMMAR, 30))
     assert formatted == _thm2_pattern_words(30)
+
+
+@pytest.mark.parametrize("max_len", range(11))
+def test_thm2_pattern_words_are_the_short_members(max_len):
+    members = {
+        "".join(t)
+        for n in range(max_len + 1)
+        for t in product("0123", repeat=n)
+        if in_thm2("".join(t))
+    }
+    assert _thm2_pattern_words(max_len) == members
+
+
+def test_thm2_predicates_agree_with_regular_expressions():
+    # an independent reference: the shape by re, the block count by counting
+    def ladder(s):
+        m = re.fullmatch(r"1(0+)2((?:0+3)+)", s)
+        return m is not None and m[2].count("3") == len(m[1])
+
+    for n in range(8):
+        for t in product("0123x", repeat=n):
+            s = "".join(t)
+            assert in_thm2(s) == ladder(s), s
+            assert _is_123plus(s) == (re.fullmatch(r"123+", s) is not None), s
 
 
 # --- the three pattern predicates ------------------------------------------------
