@@ -282,8 +282,8 @@ class Nfa:
         return bool(current & self.accepting)
 
     def determinize(self) -> Dfa:
-        """Subset construction over the subsets reachable from the initial
-        set; the empty subset doubles as the dead state when it shows up."""
+        """Test aid: subset construction over the subsets reachable from the
+        initial set; the empty subset, if reached, is the dead state."""
         k = len(self.alphabet)
         start = self.initial
         index: dict[frozenset[int], int] = {start: 0}

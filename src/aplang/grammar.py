@@ -272,28 +272,31 @@ def cyk_accepts(g: Cfg, w: Word) -> bool:
     return cnf.start in table[0][n]
 
 
-def enumerate_cfg_words(g: Cfg, max_len: int) -> set[Word]:
-    """Exactly the generated words of length <= max_len, by breadth-first
-    leftmost derivation over sentential forms, pruned by each
-    nonterminal's minimum yield.
+def enumerate_cfg_words(g: Cfg, max_len: int) -> set[str]:
+    """Exactly the generated words of length <= max_len, as strings of
+    single-character terminal tokens (longer tokens raise ValueError, as
+    their joined words can be ambiguous), by breadth-first leftmost
+    derivation over sentential forms, pruned by minimum yields.
 
-    A form is a str with one character per symbol: terminal i is chr(i)
-    and nonterminal j is chr(k + j) for k terminals, so substitution,
-    the seen set and the search for the leftmost nonterminal are native
-    str operations.  The rules are first made epsilon-free (each nullable
-    occurrence dropped in every way, empty right-hand sides dropped, the
-    empty word added iff the start is nullable), so every symbol yields at
-    least one letter, a form has at most max_len symbols and the search
-    ends even when a nullable nonterminal repeats.  Each coded right-hand
-    side carries its bound increment (its symbols' minimum yields minus
-    the head's), so a queued form carries its own lower bound, and the
-    scan for its leftmost nonterminal resumes where its parent's stopped.
-    """
+    A form is a str with one character per symbol, a terminal as its token
+    and nonterminal j as the j-th code point past the largest token, so a
+    finished form is its word and the search runs on str operations.  The
+    rules are first made epsilon-free (each nullable occurrence dropped in
+    every way, empty right-hand sides dropped, the empty word added iff
+    the start is nullable), so every symbol yields a letter, a form has at
+    most max_len symbols and the search ends even when a nullable
+    nonterminal repeats.  Each right-hand side carries its bound increment
+    (its symbols' minimum yields minus the head's), so a queued form
+    carries its own bound, and its leftmost-nonterminal scan resumes where
+    its parent's stopped."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    k = len(g.terminals)
-    code = {name: chr(i) for i, name in enumerate(g.terminals.names)}
-    code.update((nt, chr(k + j)) for j, nt in enumerate(g.nonterminals))
+    names = g.terminals.names
+    if any(len(name) != 1 for name in names):
+        raise ValueError("word enumeration needs single-character terminal tokens")
+    first = max(map(ord, names)) + 1
+    code = {name: name for name in names}
+    code.update((nt, chr(first + j)) for j, nt in enumerate(g.nonterminals))
     nullable: set[str] = set()
     changed = True
     while changed:
@@ -308,7 +311,7 @@ def enumerate_cfg_words(g: Cfg, max_len: int) -> set[Word]:
         options = [(code[sym], "") if sym in nullable else (code[sym],) for sym in rhs]
         rules[code[lhs]].update(dict.fromkeys(filter(None, map("".join, product(*options)))))
 
-    yields = {chr(i): 1 for i in range(k)}
+    yields = dict.fromkeys(names, 1)
     changed = True
     while changed:
         changed = False
@@ -330,18 +333,18 @@ def enumerate_cfg_words(g: Cfg, max_len: int) -> set[Word]:
         if head in yields
     }
 
-    out: set[Word] = {()} if g.start in nullable else set()
+    out = {""} if g.start in nullable else set()
     start = code[g.start]
     if start not in yields:
         return out
-    find_nonterminal = re.compile(f"[\\U{k:08x}-\\U{k + len(g.nonterminals) - 1:08x}]").search
+    find_nonterminal = re.compile(f"[\\U{first:08x}-\\U{first + len(g.nonterminals) - 1:08x}]").search
     seen = {start}
     queue = deque([(start, 0, yields[start])])
     while queue:
         form, pos, bound = queue.popleft()
         found = find_nonterminal(form, pos)
         if found is None:
-            out.add(tuple(map(ord, form)))
+            out.add(form)
             continue
         pos = found.start()
         before, after = form[:pos], form[pos + 1 :]

@@ -28,7 +28,7 @@ from aplang.filtration import (
     filter_word,
     filtered_language_oracle,
 )
-from aplang.grammar import THM2_ALPHABET, THM2_GRAMMAR, enumerate_cfg_words, in_thm2
+from aplang.grammar import THM2_GRAMMAR, enumerate_cfg_words, in_thm2
 from aplang.verification import (
     DEFAULT_SEED,
     random_dfa,
@@ -124,10 +124,8 @@ def _thm2_sections() -> dict[int, frozenset[str]]:
     for a in (1, 2, 3, 4, 5):
         bound = a * (a + 1)
         words = enumerate_cfg_words(THM2_GRAMMAR, bound)
-        assert all(in_thm2(THM2_ALPHABET.format(w)) for w in words)
-        filtered = {
-            THM2_ALPHABET.format(filter_word(w, ArithFilter(a, 0))) for w in words
-        }
+        assert all(in_thm2(w) for w in words)
+        filtered = {filter_word(w, ArithFilter(a, 0)) for w in words}
         sections[a] = frozenset(
             x
             for x in filtered

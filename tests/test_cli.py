@@ -10,6 +10,7 @@ import pytest
 
 import aplang
 import aplang.cli
+from aplang.automata import Alphabet
 from aplang.cli import main
 from aplang.diag import build_diag_nfa
 from aplang.jsonio import (
@@ -20,7 +21,7 @@ from aplang.jsonio import (
     obj_to_dfa,
     save_dfa,
 )
-from aplang.verification import run_claims
+from aplang.verification import run_claims, verify_thm2, verify_thm3
 
 from conftest import AB, ab_star_dfa, b_ab_star_dfa, universal_dfa
 
@@ -314,6 +315,36 @@ def test_thm1_and_thm2_reports_are_pinned(seed, atlas_sizes):
         "a=3: section is not the singleton {1233}; source 100200303 filters to 123"
     )
     assert thm2.details == THM2_DETAILS
+
+
+def test_thm3_report_is_pinned():
+    result = verify_thm3()
+    assert (result.claim, result.outcome, result.witness) == ("thm3", "PASS", None)
+    assert result.details == [
+        "b=0: sources 0^n 1^n with n <= 2; longest all-one filtered word is 1^0",
+        "b=1: sources 0^n 1^n with n <= 4; longest all-one filtered word is 1^1",
+        "b=2: sources 0^n 1^n with n <= 6; longest all-one filtered word is 1^2",
+        "b=3: sources 0^n 1^n with n <= 8; longest all-one filtered word is 1^3",
+        "b=4: sources 0^n 1^n with n <= 10; longest all-one filtered word is 1^4",
+        "b=5: sources 0^n 1^n with n <= 12; longest all-one filtered word is 1^5",
+        "b=6: sources 0^n 1^n with n <= 14; longest all-one filtered word is 1^6",
+        "each 1^b separates its language from every smaller offset, so the "
+        "7 languages are pairwise distinct",
+    ]
+
+
+def test_thm2_and_thm3_do_not_format_words(monkeypatch):
+    # the enumerator returns strings, so neither claim converts a word
+    def refuse(alphabet, word):
+        raise AssertionError("Alphabet.format called")
+
+    monkeypatch.setattr(Alphabet, "format", refuse)
+    thm2 = verify_thm2()
+    assert (thm2.outcome, thm2.details) == ("FAIL", THM2_DETAILS)
+    assert thm2.witness == (
+        "a=3: section is not the singleton {1233}; source 100200303 filters to 123"
+    )
+    assert verify_thm3().outcome == "PASS"
 
 
 @pytest.mark.parametrize("claim, code", [("thm1", 0), ("thm2", 1)])

@@ -30,10 +30,6 @@ from aplang.grammar import (
 from aplang.verification import _is_123plus, _thm2_pattern_words
 
 
-def words_to_strings(alphabet: Alphabet, words) -> set[str]:
-    return {alphabet.format(w) for w in words}
-
-
 # --- Cfg construction ---------------------------------------------------------
 
 
@@ -121,23 +117,22 @@ def test_cyk_matches_pattern_on_members_and_near_misses():
     for g, alphabet, predicate, bound in cases:
         members = enumerate_cfg_words(g, bound)
         for w in members:
-            assert predicate(alphabet.format(w))
-        mutated: set[tuple[int, ...]] = set()
-        k = len(alphabet)
+            assert predicate(w)
+        mutated: set[str] = set()
         for w in members:
             for i in range(len(w)):
-                for c in range(k):
+                for c in alphabet.names:
                     if c != w[i]:
-                        mutated.add(w[:i] + (c,) + w[i + 1 :])
+                        mutated.add(w[:i] + c + w[i + 1 :])
                 mutated.add(w[:i] + w[i + 1 :])
         for w in sorted(mutated)[:4000]:
-            assert cyk_accepts(g, w) == predicate(alphabet.format(w))
+            assert cyk_accepts(g, alphabet.word(w)) == predicate(w)
 
 
 def test_grammar_pattern_agreement_via_set_equality():
     # agreement over all words up to length 10 / 12, phrased as equality of
     # the generated set and the pattern-enumerated set at those lengths
-    got = words_to_strings(THM2_ALPHABET, enumerate_cfg_words(THM2_GRAMMAR, 10))
+    got = enumerate_cfg_words(THM2_GRAMMAR, 10)
     want = set()
     for n in (1, 2):
         for zeros in product(range(1, 9), repeat=n):
@@ -145,9 +140,7 @@ def test_grammar_pattern_agreement_via_set_equality():
             if len(s) <= 10:
                 want.add(s)
     assert got == want
-    got01 = words_to_strings(
-        ZERO_ONE_ALPHABET, enumerate_cfg_words(ZERO_N_ONE_N_GRAMMAR, 12)
-    )
+    got01 = enumerate_cfg_words(ZERO_N_ONE_N_GRAMMAR, 12)
     assert got01 == {"0" * n + "1" * n for n in range(7)}
 
 
@@ -156,28 +149,43 @@ def test_enumerate_matches_cyk_filter():
     expected = {
         w
         for length in range(9)
-        for w in product(range(2), repeat=length)
-        if cyk_accepts(ZERO_N_ONE_N_GRAMMAR, w)
+        for w in map("".join, product("01", repeat=length))
+        if cyk_accepts(ZERO_N_ONE_N_GRAMMAR, ZERO_ONE_ALPHABET.word(w))
     }
     assert enumerate_cfg_words(ZERO_N_ONE_N_GRAMMAR, 8) == expected
     expected2 = {
         w
         for length in range(7)
-        for w in product(range(4), repeat=length)
-        if cyk_accepts(THM2_GRAMMAR, w)
+        for w in map("".join, product("0123", repeat=length))
+        if cyk_accepts(THM2_GRAMMAR, THM2_ALPHABET.word(w))
     }
     assert enumerate_cfg_words(THM2_GRAMMAR, 6) == expected2
 
 
 def test_enumerate_examples():
-    assert words_to_strings(
-        ZERO_ONE_ALPHABET, enumerate_cfg_words(ZERO_N_ONE_N_GRAMMAR, 4)
-    ) == {"", "01", "0011"}
-    assert words_to_strings(THM2_ALPHABET, enumerate_cfg_words(THM2_GRAMMAR, 5)) == {
-        "10203"
-    }
+    assert enumerate_cfg_words(ZERO_N_ONE_N_GRAMMAR, 4) == {"", "01", "0011"}
+    assert enumerate_cfg_words(THM2_GRAMMAR, 5) == {"10203"}
     with pytest.raises(ValueError):
         enumerate_cfg_words(THM2_GRAMMAR, -1)
+
+
+def test_enumerate_rejects_multi_character_tokens():
+    # joined, "ab" + "c" and "a" + "bc" would be the same word
+    g = Cfg.make(Alphabet(("ab", "c")), ("S",), "S", {"S": [("ab",), ("c", "S")]})
+    with pytest.raises(ValueError, match="single-character"):
+        enumerate_cfg_words(g, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        enumerate_cfg_words(ZERO_N_ONE_N_GRAMMAR, -1)
+
+
+def test_enumerate_yields_the_empty_word_iff_the_start_is_nullable():
+    ab = Alphabet(("a", "b"))
+    rules = {"S": [("A", "B")], "A": [("a",), ()], "B": [(), ("b",)]}
+    g = Cfg.make(ab, ("S", "A", "B"), "S", rules)
+    assert enumerate_cfg_words(g, 0) == {""}
+    assert enumerate_cfg_words(g, 2) == {"", "a", "b", "ab"}
+    assert enumerate_cfg_words(ZERO_N_ONE_N_GRAMMAR, 0) == {""}
+    assert enumerate_cfg_words(THM2_GRAMMAR, 0) == set()
 
 
 def random_grammar(rng: random.Random) -> Cfg:
@@ -219,17 +227,17 @@ def test_enumerate_returns_when_a_nullable_nonterminal_repeats():
     g = Cfg.make(Alphabet(("a",)), ("S",), "S", {"S": [("S", "S"), (), ("a",)]})
     with time_limit(5):
         words = enumerate_cfg_words(g, 4)
-    assert words == {(0,) * n for n in range(5)}
+    assert words == {"a" * n for n in range(5)}
 
 
 def test_enumerate_matches_cyk_on_random_grammars():
     rng = random.Random(20111)
-    short = [w for length in range(6) for w in product(range(2), repeat=length)]
+    short = [w for length in range(6) for w in map("".join, product("ab", repeat=length))]
     for _ in range(300):
         g = random_grammar(rng)
         with time_limit(5):
             words = enumerate_cfg_words(g, 5)
-        assert words == {w for w in short if cyk_accepts(g, w)}, g
+        assert words == {w for w in short if cyk_accepts(g, g.terminals.word(w))}, g
 
 
 def test_thm2_source_counts_are_pinned():
@@ -238,8 +246,7 @@ def test_thm2_source_counts_are_pinned():
     assert counts == [0, 2, 27, 594, 27200]
     sizes = [len(_thm2_pattern_words(a * (a + 1))) for a in range(1, 6)]
     assert sizes == counts
-    formatted = words_to_strings(THM2_ALPHABET, enumerate_cfg_words(THM2_GRAMMAR, 30))
-    assert formatted == _thm2_pattern_words(30)
+    assert enumerate_cfg_words(THM2_GRAMMAR, 30) == _thm2_pattern_words(30)
 
 
 @pytest.mark.parametrize("max_len", range(11))
