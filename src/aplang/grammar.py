@@ -227,8 +227,6 @@ def _cnf_form(g: Cfg) -> Cfg:
 
 @lru_cache(maxsize=16)
 def _cyk_indexes(cnf: Cfg):
-    term_index: dict[str, frozenset[str]] = {}
-    pair_index: dict[tuple[str, str], frozenset[str]] = {}
     nts = cnf.nonterminal_set()
     terms: dict[str, set[str]] = {}
     pairs: dict[tuple[str, str], set[str]] = {}

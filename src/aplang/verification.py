@@ -122,10 +122,19 @@ def random_dfa(
     return Dfa(alphabet, n, start, accepting, delta)
 
 
+class _Refuted(Exception):
+    """A counterexample to a claim, its message the witness; neither a
+    ValueError (a CLI usage error) nor a RuntimeError (thm1 catches those)."""
+
+
 def _timed(claim: str, body: Callable[[ClaimResult], None]) -> ClaimResult:
     result = ClaimResult(claim=claim, outcome="PASS")
     t0 = time.perf_counter()
-    body(result)
+    try:
+        body(result)
+    except _Refuted as exc:
+        result.outcome = "FAIL"
+        result.witness = str(exc)
     result.elapsed = time.perf_counter() - t0
     return result
 
@@ -156,17 +165,13 @@ def verify_thm1(
                             automata.step_half(a), [automata.offset_half(b)]
                         )
                     except RuntimeError as exc:
-                        result.outcome = "FAIL"
-                        result.witness = f"automaton {i}, {f}: {exc}"
-                        return
+                        raise _Refuted(f"automaton {i}, {f}: {exc}") from exc
                     diff = first_disagreement(d, f, built, max_len)
                     if diff is not None:
-                        result.outcome = "FAIL"
-                        result.witness = (
+                        raise _Refuted(
                             f"automaton {i}, {f}: construction and oracle "
                             f"disagree on {d.alphabet.format(diff)!r}"
                         )
-                        return
                     cells += 1
         result.details.append(
             f"construction vs oracle: {pool_size} random automata, steps "
@@ -193,12 +198,10 @@ def verify_thm1(
                     if halves not in form_of:
                         form_of[halves] = automata.build(halves[0], [halves[1]]).minimized()
                     if form_of[halves] not in forms:
-                        result.outcome = "FAIL"
-                        result.witness = (
+                        raise _Refuted(
                             f"automaton {i}, family {family.value}, {f}: "
                             f"language missing from the atlas"
                         )
-                        return
                 key = family.value
                 atlas_sizes[key] = max(atlas_sizes.get(key, 0), len(atlas))
         summary = ", ".join(
@@ -251,19 +254,14 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
 
     def body(result: ClaimResult) -> None:
         sections: dict[int, frozenset[str]] = {}
+        mismatch: Optional[str] = None
         for a in step_range:
             bound = a * (a + 1)
             words = enumerate_cfg_words(THM2_GRAMMAR, bound)
             if not all(map(in_thm2, words)):
-                result.outcome = "FAIL"
-                result.witness = f"a={a}: grammar produced a word outside the pattern"
-                return
+                raise _Refuted(f"a={a}: grammar produced a word outside the pattern")
             if words != _thm2_pattern_words(bound):
-                result.outcome = "FAIL"
-                result.witness = (
-                    f"a={a}: grammar enumeration and pattern enumeration differ"
-                )
-                return
+                raise _Refuted(f"a={a}: grammar enumeration and pattern enumeration differ")
             f = ArithFilter(a, 0)
             by_source = {s: filter_word(s, f) for s in words}
             section = frozenset(x for x in by_source.values() if _is_123plus(x))
@@ -274,26 +272,25 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
                 f"123+ in {shown}"
             )
             expected = frozenset() if a == 1 else frozenset({"12" + "3" * (a - 1)})
-            if section != expected and result.outcome == "PASS":
+            if section != expected and mismatch is None:
                 extra = min(section - expected, key=lambda s: (len(s), s))
                 source = min(
                     (s for s, x in by_source.items() if x == extra),
                     key=lambda s: (len(s), s),
                 )
-                result.outcome = "FAIL"
-                result.witness = (
+                mismatch = (
                     f"a={a}: section is not the singleton {{12{'3' * (a - 1)}}}; "
                     f"source {source} filters to {extra}"
                 )
-        if len(set(sections.values())) == len(sections):
-            result.details.append(
-                f"the {len(sections)} sections are pairwise distinct (each "
-                f"caps at 123^(a-1)), so the filtered languages are pairwise "
-                f"distinct even though the stated singleton identity fails"
-            )
-        else:
-            result.outcome = "FAIL"
-            result.witness = "two steps produced the same 123+ section"
+        if len(set(sections.values())) != len(sections):
+            raise _Refuted("two steps produced the same 123+ section")
+        result.details.append(
+            f"the {len(sections)} sections are pairwise distinct (each "
+            f"caps at 123^(a-1)), so the filtered languages are pairwise "
+            f"distinct even though the stated singleton identity fails"
+        )
+        if mismatch is not None:
+            raise _Refuted(mismatch)
 
     return _timed("thm2", body)
 
@@ -309,20 +306,14 @@ def verify_thm3(offset_range: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)) -> ClaimR
             n_max = 2 * b + 2
             words = enumerate_cfg_words(ZERO_N_ONE_N_GRAMMAR, 2 * n_max)
             if not all(map(in_0n1n, words)):
-                result.outcome = "FAIL"
-                result.witness = f"b={b}: grammar produced a word outside 0^n 1^n"
-                return
+                raise _Refuted(f"b={b}: grammar produced a word outside 0^n 1^n")
             if len(words) != n_max + 1:
-                result.outcome = "FAIL"
-                result.witness = f"b={b}: expected {n_max + 1} sources, got {len(words)}"
-                return
+                raise _Refuted(f"b={b}: expected {n_max + 1} sources, got {len(words)}")
             filtered = frozenset(filter_word(w, ArithFilter(1, b)) for w in words)
             all_ones = [w for w in filtered if not w.strip("1")]
             longest = max(all_ones, key=len)
             if longest != "1" * b:
-                result.outcome = "FAIL"
-                result.witness = f"b={b}: longest all-one word has length {len(longest)}"
-                return
+                raise _Refuted(f"b={b}: longest all-one word has length {len(longest)}")
             languages[b] = filtered
             result.details.append(
                 f"b={b}: sources 0^n 1^n with n <= {n_max}; longest all-one "
@@ -333,9 +324,7 @@ def verify_thm3(offset_range: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)) -> ClaimR
             for b2 in offsets[i + 1 :]:
                 marker = "1" * b2
                 if marker in languages[b1] or marker not in languages[b2]:
-                    result.outcome = "FAIL"
-                    result.witness = f"1^{b2} fails to separate offsets {b1} and {b2}"
-                    return
+                    raise _Refuted(f"1^{b2} fails to separate offsets {b1} and {b2}")
         result.details.append(
             f"each 1^b separates its language from every smaller offset, so "
             f"the {len(offsets)} languages are pairwise distinct"
@@ -370,48 +359,38 @@ def verify_thm4(
             k = len(d.alphabet)
             nfa = build_diag_nfa(d)
             variant = build_diag_nfa(d, gap_after=True)
-            for t in range(1, 4):
+            for t in range(1, 5):
                 try:
                     literal = diag_oracle_exhaustive(d, t, exhaustive_budget)
                 except BudgetExceededError as exc:
-                    result.outcome = "FAIL"
-                    result.witness = f"{name}: unexpected budget refusal at t={t}: {exc}"
-                    return
+                    if t < 4:
+                        raise _Refuted(
+                            f"{name}: unexpected budget refusal at t={t}: {exc}"
+                        ) from exc
+                    literal = None
+                    if skipped_note is None:
+                        skipped_note = (
+                            f"t=4: literal oracle skipped ({k}^16 candidates "
+                            f"exceed the claim budget of {exhaustive_budget})"
+                        )
                 for w in product(range(k), repeat=t):
                     from_nfa = nfa.accepts(w)
                     from_matrix = diag_oracle_accepts(d, w)
-                    from_literal = w in literal
+                    from_literal = from_matrix if literal is None else w in literal
                     if not (from_nfa == from_matrix == from_literal):
-                        result.outcome = "FAIL"
-                        result.witness = (
-                            f"{name}, word {d.alphabet.format(w)!r}: nfa="
-                            f"{from_nfa}, matrix oracle={from_matrix}, "
-                            f"literal oracle={from_literal}"
+                        word = f"{name}, word {d.alphabet.format(w)!r}"
+                        raise _Refuted(
+                            f"{word}: nfa and matrix oracle disagree at t=4"
+                            if literal is None
+                            else f"{word}: nfa={from_nfa}, matrix oracle="
+                            f"{from_matrix}, literal oracle={from_literal}"
                         )
-                        return
-                    if divergence is None and variant.accepts(w) != from_matrix:
+                    if t < 4 and divergence is None and variant.accepts(w) != from_matrix:
                         divergence = (
                             f"gap-after-letter stepping diverges on {name}, "
                             f"t={t}, word {d.alphabet.format(w)!r}; the "
                             f"gap-before-letter stepping matches both oracles"
                         )
-            t = 4
-            try:
-                diag_oracle_exhaustive(d, t, exhaustive_budget)
-            except BudgetExceededError:
-                if skipped_note is None:
-                    skipped_note = (
-                        f"t=4: literal oracle skipped ({len(d.alphabet)}^16 "
-                        f"candidates exceed the claim budget of {exhaustive_budget})"
-                    )
-            for w in product(range(k), repeat=t):
-                if nfa.accepts(w) != diag_oracle_accepts(d, w):
-                    result.outcome = "FAIL"
-                    result.witness = (
-                        f"{name}, word {d.alphabet.format(w)!r}: nfa and "
-                        f"matrix oracle disagree at t=4"
-                    )
-                    return
         result.details.append(
             f"three-way agreement (nfa, matrix oracle, literal enumeration) "
             f"for {len(pool)} automata and every word of length t <= 3"
@@ -422,12 +401,10 @@ def verify_thm4(
         if skipped_note:
             result.details.append(skipped_note)
         if divergence is None:
-            result.outcome = "FAIL"
-            result.witness = (
+            raise _Refuted(
                 "the gap-after-letter stepping unexpectedly matched the "
                 "oracles everywhere"
             )
-            return
         result.details.append(f"info: {divergence}")
 
     return _timed("thm4", body)
@@ -437,18 +414,21 @@ def verify_thm4(
 # thm5: the diagonal of the three-block language
 
 
-def _member_fault(total_len: int, pattern: str, y: Optional[str]) -> Optional[str]:
-    """Why a member rebuilt for a diagonal pattern disproves the count
-    behind it: its diagonal misses the pattern, or it is outside the
-    language.  None when it is sound or there is no member."""
+def _check_member(total_len: int, pattern: str, y: Optional[str]) -> None:
+    """Refutes the count behind a diagonal pattern when the member rebuilt
+    for it misses the pattern on its diagonal or is outside the language.
+    No member (None) refutes nothing."""
     if y is None:
-        return None
+        return
     x = diag_word(y)
     if not all(pc in ("?", xc) for pc, xc in zip(pattern, x)):
-        return f"|y|={total_len}: a member enumerated for {pattern} has diagonal {x}"
+        raise _Refuted(
+            f"|y|={total_len}: a member enumerated for {pattern} has diagonal {x}"
+        )
     if not in_thm5(y):
-        return f"|y|={total_len}: the member rebuilt for {pattern} is not in the language"
-    return None
+        raise _Refuted(
+            f"|y|={total_len}: the member rebuilt for {pattern} is not in the language"
+        )
 
 
 def verify_thm5(deep: bool = False) -> ClaimResult:
@@ -458,13 +438,9 @@ def verify_thm5(deep: bool = False) -> ClaimResult:
             side = 3 * (t + 2) + 1
             expected = "ab" + "c" * t + "de" + "f" * t + "gh" + "i" * t + "j"
             if not in_thm5(w):
-                result.outcome = "FAIL"
-                result.witness = f"t={t}: witness fails the structural predicate"
-                return
+                raise _Refuted(f"t={t}: witness fails the structural predicate")
             if len(w) != side * side or diag_word(w) != expected:
-                result.outcome = "FAIL"
-                result.witness = f"t={t}: witness diagonal is {diag_word(w)!r}"
-                return
+                raise _Refuted(f"t={t}: witness diagonal is {diag_word(w)!r}")
             result.details.append(
                 f"t={t}: witness of length {side}^2 is in the language and its "
                 f"diagonal is {expected}"
@@ -475,15 +451,10 @@ def verify_thm5(deep: bool = False) -> ClaimResult:
         # exactly when it is realizable
         members, y = count_thm5_by_length(100, "ab?de?gh?j")
         _, staircase = count_thm5_by_length(100, "abcdefghij")
-        witness = _member_fault(100, "ab?de?gh?j", y) or _member_fault(
-            100, "abcdefghij", staircase
-        )
-        if witness is None and staircase is None:
-            witness = "|y|=100: well-formed diagonals are []"
-        if witness is not None:
-            result.outcome = "FAIL"
-            result.witness = witness
-            return
+        _check_member(100, "ab?de?gh?j", y)
+        _check_member(100, "abcdefghij", staircase)
+        if staircase is None:
+            raise _Refuted("|y|=100: well-formed diagonals are []")
         result.details.append(
             f"|y|=100: {members} members match the diagonal pattern "
             f"ab?de?gh?j; the only well-formed diagonal among them is abcdefghij"
@@ -500,17 +471,11 @@ def verify_thm5(deep: bool = False) -> ClaimResult:
                 t3 = 6 - t1 - t2
                 pattern = "ab" + "c" * t1 + "de" + "f" * t2 + "gh" + "i" * t3 + "j"
                 _, y = count_thm5_by_length(169, pattern)
-                witness = _member_fault(169, pattern, y)
-                if witness is not None:
-                    result.outcome = "FAIL"
-                    result.witness = witness
-                    return
+                _check_member(169, pattern, y)
                 if y is not None:
                     found.add(pattern)
         if found != {"abccdeffghiij"}:
-            result.outcome = "FAIL"
-            result.witness = f"|y|=169: realizable diagonal forms are {sorted(found)}"
-            return
+            raise _Refuted(f"|y|=169: realizable diagonal forms are {sorted(found)}")
         result.details.append(
             "|y|=169: among the ten candidate diagonal forms with six run "
             "letters, only abccdeffghiij is realizable (the t=2 staircase)"
@@ -528,19 +493,16 @@ def run_claims(
     deep: bool = False,
     max_len: int = 7,
 ) -> VerificationReport:
-    """Run the requested claims in id order and collect a report."""
-    results = []
-    for claim in sorted(set(claims), key=CLAIM_IDS.index):
-        if claim == "thm1":
-            results.append(verify_thm1(seed=seed, max_len=max_len))
-        elif claim == "thm2":
-            results.append(verify_thm2())
-        elif claim == "thm3":
-            results.append(verify_thm3())
-        elif claim == "thm4":
-            results.append(verify_thm4(seed=seed))
-        elif claim == "thm5":
-            results.append(verify_thm5(deep=deep))
-        else:
+    """Run the requested claims in id order and collect a report; an
+    unknown claim id raises ValueError before any claim runs."""
+    runs = {
+        "thm1": lambda: verify_thm1(seed=seed, max_len=max_len),
+        "thm2": verify_thm2,
+        "thm3": verify_thm3,
+        "thm4": lambda: verify_thm4(seed=seed),
+        "thm5": lambda: verify_thm5(deep=deep),
+    }
+    for claim in claims:
+        if claim not in runs:
             raise ValueError(f"unknown claim {claim!r}")
-    return VerificationReport(results)
+    return VerificationReport([run() for claim, run in runs.items() if claim in claims])

@@ -10,6 +10,7 @@ import pytest
 
 import aplang
 import aplang.cli
+import aplang.verification
 from aplang.automata import Alphabet
 from aplang.cli import main
 from aplang.diag import build_diag_nfa
@@ -21,7 +22,13 @@ from aplang.jsonio import (
     obj_to_dfa,
     save_dfa,
 )
-from aplang.verification import run_claims, verify_thm2, verify_thm3
+from aplang.verification import (
+    run_claims,
+    verify_thm2,
+    verify_thm3,
+    verify_thm4,
+    verify_thm5,
+)
 
 from conftest import AB, ab_star_dfa, b_ab_star_dfa, universal_dfa
 
@@ -347,7 +354,205 @@ def test_thm2_and_thm3_do_not_format_words(monkeypatch):
     assert verify_thm3().outcome == "PASS"
 
 
-@pytest.mark.parametrize("claim, code", [("thm1", 0), ("thm2", 1)])
+THM4_DETAILS = [
+    "three-way agreement (nfa, matrix oracle, literal enumeration) for 31 "
+    "automata and every word of length t <= 3",
+    "two-way agreement (nfa, matrix oracle) for every word of length t = 4",
+    "t=4: literal oracle skipped (2^16 candidates exceed the claim budget of 4096)",
+    "info: gap-after-letter stepping diverges on fixed witness {abba}, t=2, "
+    "word 'aa'; the gap-before-letter stepping matches both oracles",
+]
+
+
+@pytest.mark.parametrize("seed", [1729, 1])
+def test_thm4_report_is_pinned(seed):
+    result = verify_thm4(seed=seed)
+    assert (result.claim, result.outcome, result.witness) == ("thm4", "PASS", None)
+    assert result.details == THM4_DETAILS
+
+
+@pytest.mark.parametrize(
+    "deep, last",
+    [
+        (False, "|y|=169 sweep skipped by default; enable with --deep"),
+        (
+            True,
+            "|y|=169: among the ten candidate diagonal forms with six run "
+            "letters, only abccdeffghiij is realizable (the t=2 staircase)",
+        ),
+    ],
+)
+def test_thm5_report_is_pinned(deep, last):
+    result = verify_thm5(deep=deep)
+    assert (result.claim, result.outcome, result.witness) == ("thm5", "PASS", None)
+    assert result.details == [
+        "t=1: witness of length 10^2 is in the language and its diagonal is abcdefghij",
+        "t=2: witness of length 13^2 is in the language and its diagonal is "
+        "abccdeffghiij",
+        "|y|=100: 6859 members match the diagonal pattern ab?de?gh?j; the only "
+        "well-formed diagonal among them is abcdefghij",
+        last,
+    ]
+
+
+def _member_off_the_language(length, pattern):
+    # the pattern's letters on the diagonal of a square of zeros
+    side = len(pattern)
+    return 1, "".join(
+        "0" if i % (side + 1) else pattern[i // (side + 1)] for i in range(length)
+    )
+
+
+REFUTATIONS = [
+    pytest.param(
+        verify_thm2, {}, {"in_thm2": lambda real: lambda s: False},
+        "a=2: grammar produced a word outside the pattern",
+        id="thm2-word-outside-pattern",
+    ),
+    pytest.param(
+        verify_thm2, {}, {"_thm2_pattern_words": lambda real: lambda n: set()},
+        "a=2: grammar enumeration and pattern enumeration differ",
+        id="thm2-enumerations-differ",
+    ),
+    pytest.param(
+        # a=3 also misses its singleton; the collision witness wins
+        verify_thm2, {}, {"_is_123plus": lambda real: lambda s: s == "123"},
+        "two steps produced the same 123+ section",
+        id="thm2-sections-collide",
+    ),
+    pytest.param(
+        verify_thm3, {}, {"in_0n1n": lambda real: lambda s: False},
+        "b=0: grammar produced a word outside 0^n 1^n",
+        id="thm3-word-outside-language",
+    ),
+    pytest.param(
+        verify_thm3, {}, {"enumerate_cfg_words": lambda real: lambda g, n: real(g, n) - {""}},
+        "b=0: expected 3 sources, got 2",
+        id="thm3-source-count",
+    ),
+    pytest.param(
+        verify_thm3, {}, {"filter_word": lambda real: lambda w, f: w},
+        "b=1: longest all-one word has length 0",
+        id="thm3-longest-all-one",
+    ),
+    pytest.param(
+        verify_thm4, {"exhaustive_budget": 4}, {},
+        "fixed witness {abba}: unexpected budget refusal at t=2: 16 candidate "
+        "words exceed the budget of 4",
+        id="thm4-budget-refusal",
+    ),
+    pytest.param(
+        verify_thm4, {}, {"diag_oracle_accepts": lambda real: lambda d, w: False},
+        "fixed witness {abba}, word 'aa': nfa=True, matrix oracle=False, "
+        "literal oracle=True",
+        id="thm4-three-way",
+    ),
+    pytest.param(
+        verify_thm4, {},
+        {"diag_oracle_accepts": lambda real: lambda d, w: real(d, w) != (len(w) == 4)},
+        "fixed witness {abba}, word 'aaaa': nfa and matrix oracle disagree at t=4",
+        id="thm4-two-way-at-4",
+    ),
+    pytest.param(
+        verify_thm4, {},
+        {"build_diag_nfa": lambda real: lambda d, gap_after=False: real(d)},
+        "the gap-after-letter stepping unexpectedly matched the oracles everywhere",
+        id="thm4-no-divergence",
+    ),
+    pytest.param(
+        verify_thm5, {}, {"in_thm5": lambda real: lambda s: False},
+        "t=1: witness fails the structural predicate",
+        id="thm5-witness-outside-language",
+    ),
+    pytest.param(
+        verify_thm5, {}, {"diag_word": lambda real: lambda w: "x"},
+        "t=1: witness diagonal is 'x'",
+        id="thm5-witness-diagonal",
+    ),
+    pytest.param(
+        # both members at 100 are wrong; the pattern's member is checked first
+        verify_thm5, {}, {"count_thm5_by_length": lambda real: lambda n, p: (1, "a" * n)},
+        "|y|=100: a member enumerated for ab?de?gh?j has diagonal aaaaaaaaaa",
+        id="thm5-member-diagonal",
+    ),
+    pytest.param(
+        verify_thm5, {}, {"count_thm5_by_length": lambda real: _member_off_the_language},
+        "|y|=100: the member rebuilt for ab?de?gh?j is not in the language",
+        id="thm5-member-outside-language",
+    ),
+    pytest.param(
+        verify_thm5, {},
+        {
+            "count_thm5_by_length": lambda real: lambda n, p: (
+                (1, "a" * n) if p == "abcdefghij" else real(n, p)
+            )
+        },
+        "|y|=100: a member enumerated for abcdefghij has diagonal aaaaaaaaaa",
+        id="thm5-staircase-diagonal",
+    ),
+    pytest.param(
+        verify_thm5, {},
+        {
+            "count_thm5_by_length": lambda real: lambda n, p: (
+                (0, None) if p == "abcdefghij" else real(n, p)
+            )
+        },
+        "|y|=100: well-formed diagonals are []",
+        id="thm5-no-staircase",
+    ),
+    pytest.param(
+        verify_thm5, {"deep": True},
+        {
+            "count_thm5_by_length": lambda real: lambda n, p: (
+                (0, None) if n == 169 else real(n, p)
+            )
+        },
+        "|y|=169: realizable diagonal forms are []",
+        id="thm5-nothing-realizable",
+    ),
+]
+
+
+@pytest.mark.parametrize("verify, kwargs, patches, witness", REFUTATIONS)
+def test_each_refutation_branch_reports_its_witness(
+    monkeypatch, verify, kwargs, patches, witness
+):
+    # one broken collaborator, as bound in aplang.verification, per branch
+    for name, wrap in patches.items():
+        real = getattr(aplang.verification, name)
+        monkeypatch.setattr(aplang.verification, name, wrap(real))
+    result = verify(**kwargs)
+    assert (result.outcome, result.witness) == ("FAIL", witness)
+
+
+def test_thm4_compares_the_literal_oracle_at_4_when_the_budget_admits_it(monkeypatch):
+    real = aplang.verification.diag_oracle_exhaustive
+
+    def extra_word_at_4(d, t, budget):
+        literal = real(d, t, budget)
+        return literal | {(0, 0, 0, 0)} if t == 4 else literal
+
+    monkeypatch.setattr(aplang.verification, "diag_oracle_exhaustive", extra_word_at_4)
+    result = verify_thm4(pool_size=0, exhaustive_budget=1 << 16)
+    assert (result.outcome, result.witness) == (
+        "FAIL",
+        "fixed witness {abba}, word 'aaaa': nfa=False, matrix oracle=False, "
+        "literal oracle=True",
+    )
+
+
+def test_unknown_claim_is_rejected_before_any_claim_runs(monkeypatch):
+    def refuse():
+        raise AssertionError("verify_thm2 ran")
+
+    monkeypatch.setattr(aplang.verification, "verify_thm2", refuse)
+    with pytest.raises(ValueError, match="unknown claim 'thm9'"):
+        run_claims(("thm2", "thm9"))
+
+
+@pytest.mark.parametrize(
+    "claim, code", [("thm1", 0), ("thm2", 1), ("thm3", 0), ("thm4", 0), ("thm5", 0)]
+)
 def test_verify_runs_without_asserts(claim, code):
     # python -O strips assert statements; the verdicts must not change
     package_root = str(Path(aplang.__file__).resolve().parents[1])

@@ -109,3 +109,23 @@ def test_thm2_oracles_do_not_use_the_grammar():
             todo.extend(names & defs.keys() - reached)
         assert reached == {oracle} | helpers
         assert named & construction == set(), oracle
+
+
+def test_only_timed_reports_a_counterexample():
+    # a claim refutes by raising; _timed alone turns that into FAIL and
+    # its witness, so every refutation branch shares one reporting path
+    tree = ast.parse((SRC / "verification.py").read_text(encoding="utf-8"))
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            targets = []
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [(t.attr, node.value) for t in targets if isinstance(t, ast.Attribute)]
+            elif isinstance(node, ast.keyword):
+                targets = [(node.arg, node.value)]
+            for attr, value in targets:
+                fail = isinstance(value, ast.Constant) and value.value == "FAIL"
+                if attr == "witness" or (attr == "outcome" and fail):
+                    found.append((top.name, attr))
+    assert found == [("_timed", "outcome"), ("_timed", "witness")]
