@@ -1,21 +1,20 @@
 """Context-free grammars plus the structured languages behind the
 infinite-filtration and diagonal counterexamples.
 
-CYK over Chomsky normal form decides membership; bounded enumeration walks
-leftmost derivations with minimum-yield pruning.  The three built-in
-languages each come with a direct structural predicate that parses the
-displayed pattern with no grammar involved, serving as the independent
-oracle for every grammar-based result.
+CYK over Chomsky normal form decides membership; bounded enumeration
+fills a table of each symbol's words by exact length over the epsilon-free
+rules, splitting a length only over the lengths at which a body's symbols
+have words.  The three built-in languages each come with a direct
+structural predicate that parses the displayed pattern with no grammar
+involved, serving as the independent oracle for every grammar-based result.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
 from math import isqrt
-import re
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .automata import Alphabet, Word
@@ -270,31 +269,41 @@ def cyk_accepts(g: Cfg, w: Word) -> bool:
     return cnf.start in table[0][n]
 
 
+def _splits(n: int, parts: list[dict], least: list[int], i: int = 0) -> Iterator[tuple[int, ...]]:
+    """The ways to split length n over parts[i:], a body's by-length word
+    tables: each part takes a length at which it has words, in ascending
+    order, while least[i + 1], the minimum yield after it, still fits."""
+    if i == len(parts) - 1:
+        if n in parts[i]:
+            yield (n,)
+        return
+    for length in parts[i]:
+        if length + least[i + 1] > n:
+            break
+        for rest in _splits(n - length, parts, least, i + 1):
+            yield (length,) + rest
+
+
 def enumerate_cfg_words(g: Cfg, max_len: int) -> set[str]:
     """Exactly the generated words of length <= max_len, as strings of
     single-character terminal tokens (longer tokens raise ValueError, as
-    their joined words can be ambiguous), by breadth-first leftmost
-    derivation over sentential forms, pruned by minimum yields.
+    their joined words can be ambiguous).
 
-    A form is a str with one character per symbol, a terminal as its token
-    and nonterminal j as the j-th code point past the largest token, so a
-    finished form is its word and the search runs on str operations.  The
-    rules are first made epsilon-free (each nullable occurrence dropped in
-    every way, empty right-hand sides dropped, the empty word added iff
-    the start is nullable), so every symbol yields a letter, a form has at
-    most max_len symbols and the search ends even when a nullable
-    nonterminal repeats.  Each right-hand side carries its bound increment
-    (its symbols' minimum yields minus the head's), so a queued form
-    carries its own bound, and its leftmost-nonterminal scan resumes where
-    its parent's stopped."""
+    The rules are first made epsilon-free (each nullable occurrence
+    dropped in every way, empty right-hand sides dropped, the empty word
+    added iff the start is nullable), so every symbol yields a letter.  A
+    table of each symbol's words at each exact length is then filled
+    bottom-up by length: a body's words of length n join its symbols'
+    shorter words over every split of n (see _splits), and the unit rules
+    alone, which read length n itself, are settled by a fixpoint.  A
+    symbol is filled only up to the longest of its words that fits in a
+    start word beside minimum yields, and the start's words go straight to
+    the output when no body names the start."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     names = g.terminals.names
     if any(len(name) != 1 for name in names):
         raise ValueError("word enumeration needs single-character terminal tokens")
-    first = max(map(ord, names)) + 1
-    code = {name: name for name in names}
-    code.update((nt, chr(first + j)) for j, nt in enumerate(g.nonterminals))
     nullable: set[str] = set()
     changed = True
     while changed:
@@ -304,10 +313,11 @@ def enumerate_cfg_words(g: Cfg, max_len: int) -> set[str]:
                 nullable.add(lhs)
                 changed = True
     # dicts keep the rule order and drop repeated right-hand sides
-    rules: dict[str, dict[str, None]] = {code[nt]: {} for nt in g.nonterminals}
+    rules: dict[str, dict[Rhs, None]] = {nt: {} for nt in g.nonterminals}
     for lhs, rhs in g.productions():
-        options = [(code[sym], "") if sym in nullable else (code[sym],) for sym in rhs]
-        rules[code[lhs]].update(dict.fromkeys(filter(None, map("".join, product(*options)))))
+        options = [(sym, None) if sym in nullable else (sym,) for sym in rhs]
+        bodies = (tuple(s for s in body if s is not None) for body in product(*options))
+        rules[lhs].update(dict.fromkeys(filter(None, bodies)))
 
     yields = dict.fromkeys(names, 1)
     changed = True
@@ -315,43 +325,54 @@ def enumerate_cfg_words(g: Cfg, max_len: int) -> set[str]:
         changed = False
         for head, bodies in rules.items():
             for body in bodies:
-                if all(ch in yields for ch in body):
+                if all(sym in yields for sym in body):
                     total = sum(map(yields.__getitem__, body))
                     if total < yields.get(head, total + 1):
                         yields[head] = total
                         changed = True
-    # rules with an unproductive symbol derive no word
-    coded = {
-        head: [
-            (body, sum(map(yields.__getitem__, body)) - yields[head])
-            for body in bodies
-            if all(ch in yields for ch in body)
-        ]
+    # rules with an unproductive symbol derive no word; least[i] is the
+    # minimum yield of body[i:]
+    live = [
+        (head, body, list(accumulate(map(yields.__getitem__, reversed(body))))[::-1])
         for head, bodies in rules.items()
-        if head in yields
-    }
+        for body in bodies
+        if all(sym in yields for sym in body)
+    ]
+    # room[sym]: the longest word of sym that fits in a start word
+    room = {g.start: max_len}
+    changed = True
+    while changed:
+        changed = False
+        for head, body, least in live:
+            for sym in body:
+                fits = room.get(head, 0) - least[0] + yields[sym]
+                if fits > room.get(sym, 0):
+                    room[sym] = fits
+                    changed = True
 
+    table = {nt: {} for nt in g.nonterminals} | {name: {1: {name}} for name in names}
+    units = [(head, body[0]) for head, body, _ in live if len(body) == 1 and body[0] in rules]
+    start_unused = all(g.start not in body for _, body, _ in live)
     out = {""} if g.start in nullable else set()
-    start = code[g.start]
-    if start not in yields:
-        return out
-    find_nonterminal = re.compile(f"[\\U{first:08x}-\\U{first + len(g.nonterminals) - 1:08x}]").search
-    seen = {start}
-    queue = deque([(start, 0, yields[start])])
-    while queue:
-        form, pos, bound = queue.popleft()
-        found = find_nonterminal(form, pos)
-        if found is None:
-            out.add(form)
-            continue
-        pos = found.start()
-        before, after = form[:pos], form[pos + 1 :]
-        for body, step in coded[form[pos]]:
-            if bound + step <= max_len:
-                new_form = before + body + after
-                if new_form not in seen:
-                    seen.add(new_form)
-                    queue.append((new_form, pos, bound + step))
+    for n in range(1, max_len + 1):
+        found: dict[str, set[str]] = {}
+        for head, body, least in live:
+            if room.get(head, 0) >= n and (len(body) > 1 or body[0] in names):
+                parts = [table[sym] for sym in body]
+                for split in _splits(n, parts, least):
+                    words = product(*map(dict.__getitem__, parts, split))
+                    found.setdefault(head, set()).update(map("".join, words))
+        for head, words in found.items():
+            table[head][n] = words
+        changed = True
+        while changed:
+            changed = False
+            for head, sym in units:
+                new = table[sym].get(n, set()) - table[head].get(n, set())
+                if new and room.get(head, 0) >= n:
+                    table[head].setdefault(n, set()).update(new)
+                    changed = True
+        out.update(table[g.start].pop(n, ()) if start_unused else table[g.start].get(n, ()))
     return out
 
 

@@ -223,16 +223,13 @@ def _thm2_pattern_words(max_len: int) -> set[str]:
     """The words 1 0^n 2 (0^z 3)^n, n >= 1 and every z >= 1, of length at
     most max_len, grown one 0^z 3 block at a time from 1 0^n 2."""
     out: set[str] = set()
-    stack = [("1" + "0" * n + "2", n) for n in range(1, (max_len - 2) // 3 + 1)]
-    while stack:
-        prefix, blocks = stack.pop()
-        # the blocks after this one take at least two letters each
-        room = max_len - len(prefix) - 2 * (blocks - 1)
-        grown = [prefix + "0" * z + "3" for z in range(1, room)]
-        if blocks == 1:
-            out.update(grown)
-        else:
-            stack.extend((g, blocks - 1) for g in grown)
+    for n in range(1, (max_len - 2) // 3 + 1):
+        level = ["1" + "0" * n + "2"]
+        for blocks in range(n, 0, -1):
+            # the blocks after this one take at least two letters each
+            room = max_len - 2 * (blocks - 1)
+            level = [p + "0" * z + "3" for p in level for z in range(1, room - len(p))]
+        out.update(level)
     return out
 
 
@@ -263,8 +260,7 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
             if words != _thm2_pattern_words(bound):
                 raise _Refuted(f"a={a}: grammar enumeration and pattern enumeration differ")
             f = ArithFilter(a, 0)
-            by_source = {s: filter_word(s, f) for s in words}
-            section = frozenset(x for x in by_source.values() if _is_123plus(x))
+            section = frozenset(filter(_is_123plus, {filter_word(s, f) for s in words}))
             sections[a] = section
             shown = "{}" if not section else "{" + ", ".join(sorted(section)) + "}"
             result.details.append(
@@ -273,15 +269,16 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
             )
             expected = frozenset() if a == 1 else frozenset({"12" + "3" * (a - 1)})
             if section != expected and mismatch is None:
-                extra = min(section - expected, key=lambda s: (len(s), s))
-                source = min(
-                    (s for s, x in by_source.items() if x == extra),
-                    key=lambda s: (len(s), s),
-                )
-                mismatch = (
-                    f"a={a}: section is not the singleton {{12{'3' * (a - 1)}}}; "
-                    f"source {source} filters to {extra}"
-                )
+                mismatch = f"a={a}: section is not the singleton {{12{'3' * (a - 1)}}}; "
+                if section <= expected:
+                    mismatch += f"it lacks {min(expected)}"
+                else:
+                    extra = min(section - expected, key=lambda s: (len(s), s))
+                    source = min(
+                        (s for s in words if filter_word(s, f) == extra),
+                        key=lambda s: (len(s), s),
+                    )
+                    mismatch += f"source {source} filters to {extra}"
         if len(set(sections.values())) != len(sections):
             raise _Refuted("two steps produced the same 123+ section")
         result.details.append(
@@ -393,12 +390,13 @@ def verify_thm4(
                         )
         result.details.append(
             f"three-way agreement (nfa, matrix oracle, literal enumeration) "
-            f"for {len(pool)} automata and every word of length t <= 3"
-        )
-        result.details.append(
-            "two-way agreement (nfa, matrix oracle) for every word of length t = 4"
+            f"for {len(pool)} automata and every word of length "
+            f"t <= {3 if skipped_note else 4}"
         )
         if skipped_note:
+            result.details.append(
+                "two-way agreement (nfa, matrix oracle) for every word of length t = 4"
+            )
             result.details.append(skipped_note)
         if divergence is None:
             raise _Refuted(

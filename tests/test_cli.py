@@ -421,6 +421,12 @@ REFUTATIONS = [
         id="thm2-sections-collide",
     ),
     pytest.param(
+        # the section lacks its singleton and has no extra word
+        verify_thm2, {"step_range": (2,)}, {"_is_123plus": lambda real: lambda s: False},
+        "a=2: section is not the singleton {123}; it lacks 123",
+        id="thm2-section-lacks-singleton",
+    ),
+    pytest.param(
         verify_thm3, {}, {"in_0n1n": lambda real: lambda s: False},
         "b=0: grammar produced a word outside 0^n 1^n",
         id="thm3-word-outside-language",
@@ -539,6 +545,26 @@ def test_thm4_compares_the_literal_oracle_at_4_when_the_budget_admits_it(monkeyp
         "fixed witness {abba}, word 'aaaa': nfa=False, matrix oracle=False, "
         "literal oracle=True",
     )
+
+
+THREE_WAY_FOR_ONE = (
+    "three-way agreement (nfa, matrix oracle, literal enumeration) for 1 "
+    "automata and every word of length t <= "
+)
+
+
+@pytest.mark.parametrize(
+    "budget, details",
+    [
+        (1 << 12, [THREE_WAY_FOR_ONE + "3", *THM4_DETAILS[1:3]]),
+        (1 << 16, [THREE_WAY_FOR_ONE + "4"]),
+    ],
+)
+def test_thm4_details_name_the_lengths_each_oracle_checked(budget, details):
+    # a budget that admits t = 4 for every automaton compares all three there
+    result = verify_thm4(pool_size=0, exhaustive_budget=budget)
+    assert result.outcome == "PASS"
+    assert result.details == details + THM4_DETAILS[3:]
 
 
 def test_unknown_claim_is_rejected_before_any_claim_runs(monkeypatch):

@@ -1,6 +1,7 @@
 """Grammars: CNF, CYK, bounded enumeration, and the three built-in
 pattern languages with their independent checks."""
 
+import gc
 import random
 import re
 import signal
@@ -238,6 +239,27 @@ def test_enumerate_matches_cyk_on_random_grammars():
         with time_limit(5):
             words = enumerate_cfg_words(g, 5)
         assert words == {w for w in short if cyk_accepts(g, g.terminals.word(w))}, g
+
+
+def test_enumerate_follows_unit_chains_and_cycles():
+    # S -> A reads A's words at the length being filled, which A -> B
+    # gives only after S -> A was first visited
+    ab = Alphabet(("a", "b"))
+    chain = Cfg.make(ab, ("S", "A", "B"), "S", {"S": [("A",)], "A": [("B",)], "B": [("a", "b")]})
+    assert enumerate_cfg_words(chain, 2) == {"ab"}
+    cycle = Cfg.make(ab, ("S", "A"), "S", {"S": [("A",), ("a",)], "A": [("S",), ("b",)]})
+    assert enumerate_cfg_words(cycle, 3) == {"a", "b"}
+
+
+def test_enumerate_leaves_no_garbage_cycles():
+    # a cycle would keep the word table alive until the cyclic collector ran
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_cfg_words(THM2_GRAMMAR, 30)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_thm2_source_counts_are_pinned():

@@ -84,6 +84,26 @@ def test_thm5_counter_and_enumerator_share_no_functions():
     assert named("enumerate_thm5_by_length") & counter == set()
 
 
+def _reached(module: str, fn: str) -> tuple[set[str], set[str]]:
+    """The module functions fn calls, transitively (fn included), and
+    every name or attribute they name."""
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo, named = set(), [fn], set()
+    while todo:
+        fn = todo.pop()
+        reached.add(fn)
+        names = {
+            name
+            for sub in ast.walk(defs[fn])
+            for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
+            if name
+        }
+        named |= names
+        todo.extend(names & defs.keys() - reached)
+    return reached, named
+
+
 def test_thm2_oracles_do_not_use_the_grammar():
     # verify thm2 checks the grammar's words against these oracles, so
     # neither they nor the module functions they call may name the
@@ -93,22 +113,17 @@ def test_thm2_oracles_do_not_use_the_grammar():
         ("grammar.py", "in_thm2", set()),
         ("verification.py", "_thm2_pattern_words", set()),
     ):
-        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
-        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-        reached, todo, named = set(), [oracle], set()
-        while todo:
-            fn = todo.pop()
-            reached.add(fn)
-            names = {
-                name
-                for sub in ast.walk(defs[fn])
-                for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
-                if name
-            }
-            named |= names
-            todo.extend(names & defs.keys() - reached)
+        reached, named = _reached(module, oracle)
         assert reached == {oracle} | helpers
         assert named & construction == set(), oracle
+
+
+def test_enumerator_does_not_use_cyk():
+    # CYK is the enumerator's oracle on random grammars, so the enumerator
+    # and the module functions it calls may not name it or its CNF
+    reached, named = _reached("grammar.py", "enumerate_cfg_words")
+    assert reached == {"enumerate_cfg_words", "_splits"}
+    assert named & {"cyk_accepts", "to_cnf", "_cnf_form", "_cyk_indexes"} == set()
 
 
 def test_only_timed_reports_a_counterexample():
