@@ -1,7 +1,8 @@
 """Context-free grammars plus the structured languages behind the
 infinite-filtration and diagonal counterexamples.
 
-CYK over Chomsky normal form decides membership; bounded enumeration
+CYK over a binary normal form, with nullable symbols and unit steps
+closed over in its tables, decides membership; bounded enumeration
 fills a table of each symbol's words by exact length over the epsilon-free
 rules, splitting a length only over the lengths at which a body's symbols
 have words.  The three built-in languages each come with a direct
@@ -27,8 +28,7 @@ class Cfg:
     """Context-free grammar over string tokens.
 
     rules holds one entry per nonterminal, in nonterminal declaration
-    order, so structurally equal grammars compare equal and survive a JSON
-    round trip unchanged.
+    order, so structurally equal grammars compare equal and hash equal.
     """
 
     terminals: Alphabet
@@ -76,184 +76,79 @@ class Cfg:
         )
         return cls(terminals, tuple(nonterminals), start, grouped)
 
-    def rhs_for(self, nt: str) -> tuple[Rhs, ...]:
-        for lhs, rhss in self.rules:
-            if lhs == nt:
-                return rhss
-        raise ValueError(f"unknown nonterminal {nt!r}")
-
     def productions(self) -> Iterator[tuple[str, Rhs]]:
         for lhs, rhss in self.rules:
             for rhs in rhss:
                 yield lhs, rhs
 
-    def nonterminal_set(self) -> frozenset[str]:
-        return frozenset(self.nonterminals)
-
-    def is_cnf(self) -> bool:
-        """Oracle for to_cnf's output: every rule has a Chomsky normal form shape."""
-        nts = self.nonterminal_set()
-        for lhs, rhs in self.productions():
-            if rhs == ():
-                if lhs != self.start:
-                    return False
-            elif len(rhs) == 1:
-                if rhs[0] in nts:
-                    return False
-            elif len(rhs) == 2:
-                if rhs[0] not in nts or rhs[1] not in nts:
-                    return False
-            else:
-                return False
-        return True
-
-
-def to_cnf(g: Cfg) -> Cfg:
-    """Weakly equivalent Chomsky normal form; the empty word, if generated,
-    survives only as an epsilon rule on a fresh start symbol."""
-    used = set(g.nonterminals) | set(g.terminals.names)
-
-    def fresh(base: str) -> str:
-        if base not in used:
-            used.add(base)
-            return base
-        i = 0
-        while f"{base}{i}" in used:
-            i += 1
-        used.add(f"{base}{i}")
-        return f"{base}{i}"
-
-    order: list[str] = []
-
-    def declare(name: str) -> str:
-        order.append(name)
-        return name
-
-    new_start = declare(fresh(g.start + "'"))
-    for nt in g.nonterminals:
-        order.append(nt)
-    prods: list[tuple[str, Rhs]] = [(new_start, (g.start,))]
-    prods.extend(g.productions())
-
-    # wrap terminals appearing in long right-hand sides
-    nts = set(order)
-    wrappers: dict[str, str] = {}
-    wrapped: list[tuple[str, Rhs]] = []
-    for lhs, rhs in prods:
-        if len(rhs) >= 2:
-            new_rhs = []
-            for sym in rhs:
-                if sym in nts:
-                    new_rhs.append(sym)
-                else:
-                    if sym not in wrappers:
-                        wrappers[sym] = declare(fresh(f"T_{sym}"))
-                        nts.add(wrappers[sym])
-                        wrapped.append((wrappers[sym], (sym,)))
-                    new_rhs.append(wrappers[sym])
-            wrapped.append((lhs, tuple(new_rhs)))
-        else:
-            wrapped.append((lhs, rhs))
-
-    # binarize
-    binary: list[tuple[str, Rhs]] = []
-    for lhs, rhs in wrapped:
-        while len(rhs) > 2:
-            link = declare(fresh("B"))
-            nts.add(link)
-            binary.append((lhs, (rhs[0], link)))
-            lhs, rhs = link, rhs[1:]
-        binary.append((lhs, rhs))
-
-    # eliminate epsilon rules
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in binary:
-            if lhs not in nullable and all(s in nullable for s in rhs):
-                nullable.add(lhs)
-                changed = True
-    expanded: list[tuple[str, Rhs]] = []
-    seen_prods: set[tuple[str, Rhs]] = set()
-    for lhs, rhs in binary:
-        spots = [i for i, s in enumerate(rhs) if s in nullable]
-        for keep in product((True, False), repeat=len(spots)):
-            drop = {i for i, k in zip(spots, keep) if not k}
-            new_rhs = tuple(s for i, s in enumerate(rhs) if i not in drop)
-            if not new_rhs:
-                continue
-            if (lhs, new_rhs) not in seen_prods:
-                seen_prods.add((lhs, new_rhs))
-                expanded.append((lhs, new_rhs))
-    if new_start in nullable:
-        expanded.append((new_start, ()))
-
-    # eliminate unit rules by lifting through the unit closure
-    by_lhs: dict[str, list[Rhs]] = {nt: [] for nt in order}
-    for lhs, rhs in expanded:
-        by_lhs[lhs].append(rhs)
-    closure: dict[str, set[str]] = {nt: {nt} for nt in order}
-    changed = True
-    while changed:
-        changed = False
-        for nt in order:
-            for target in list(closure[nt]):
-                for rhs in by_lhs[target]:
-                    if len(rhs) == 1 and rhs[0] in nts and rhs[0] not in closure[nt]:
-                        closure[nt].add(rhs[0])
-                        changed = True
-    final_rules: dict[str, list[Rhs]] = {nt: [] for nt in order}
-    for nt in order:
-        emitted: set[Rhs] = set()
-        for target in sorted(closure[nt], key=order.index):
-            for rhs in by_lhs[target]:
-                is_unit = len(rhs) == 1 and rhs[0] in nts
-                if not is_unit and rhs not in emitted:
-                    if rhs == () and nt != new_start:
-                        continue
-                    emitted.add(rhs)
-                    final_rules[nt].append(rhs)
-
-    return Cfg.make(g.terminals, tuple(order), new_start, final_rules)
-
 
 # A few grammars are in use at a time; the bound caps long-lived processes.
 @lru_cache(maxsize=16)
-def _cnf_form(g: Cfg) -> Cfg:
-    return to_cnf(g)
+def _cyk_tables(g: Cfg) -> tuple[list, dict, int, bool]:
+    """CYK's tables for g in binary normal form (Lange and Leiss, "To CNF
+    or not to CNF?", 2009).
 
-
-@lru_cache(maxsize=16)
-def _cyk_indexes(cnf: Cfg):
-    nts = cnf.nonterminal_set()
-    terms: dict[str, set[str]] = {}
-    pairs: dict[tuple[str, str], set[str]] = {}
-    for lhs, rhs in cnf.productions():
-        if len(rhs) == 1 and rhs[0] not in nts:
-            terms.setdefault(rhs[0], set()).add(lhs)
-        elif len(rhs) == 2:
-            pairs.setdefault((rhs[0], rhs[1]), set()).add(lhs)
-    term_index = {t: frozenset(v) for t, v in terms.items()}
-    pair_index = {p: frozenset(v) for p, v in pairs.items()}
-    return term_index, pair_index
+    A body longer than two is split as X1 <X2...Xk>, the suffix tuple
+    itself naming the link, so no fresh names are needed.  Every symbol
+    gets an int id: terminal t the id t, then the nonterminals, then the
+    links.  A unit step derives a head from a body symbol whose siblings
+    are all nullable.  leaf[t] holds the ids that derive terminal t by unit
+    steps, and pairs[(b, c)] the heads of the bodies b c, closed under unit
+    steps.  The last two entries are the start's id and whether the start
+    is nullable."""
+    rules: list[tuple] = []
+    for head, body in g.productions():
+        while len(body) > 2:
+            rules.append((head, (body[0], body[1:])))
+            head = body = body[1:]
+        rules.append((head, body))
+    ids = {sym: i for i, sym in enumerate((*g.terminals.names, *g.nonterminals))}
+    for head, _ in rules:
+        ids.setdefault(head, len(ids))
+    nullable: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for head, body in rules:
+            if head not in nullable and all(sym in nullable for sym in body):
+                nullable.add(head)
+                changed = True
+    steps: dict = {}
+    for head, body in rules:
+        for i, sym in enumerate(body):
+            if all(other in nullable for other in body[:i] + body[i + 1 :]):
+                steps.setdefault(sym, set()).add(head)
+    up: dict = {}
+    for sym in ids:
+        seen, todo = {sym}, [sym]
+        while todo:
+            for head in steps.get(todo.pop(), ()):
+                if head not in seen:
+                    seen.add(head)
+                    todo.append(head)
+        up[sym] = frozenset(map(ids.__getitem__, seen))
+    pairs: dict[tuple[int, int], frozenset[int]] = {}
+    for head, body in rules:
+        if len(body) == 2:
+            key = ids[body[0]], ids[body[1]]
+            pairs[key] = pairs.get(key, frozenset()) | up[head]
+    leaf = [up[name] for name in g.terminals.names]
+    return leaf, pairs, ids[g.start], g.start in nullable
 
 
 def cyk_accepts(g: Cfg, w: Word) -> bool:
-    """Membership via CYK on the grammar's Chomsky normal form."""
+    """Membership via CYK on the grammar's binary normal form."""
     k = len(g.terminals)
     for s in w:
         if not 0 <= s < k:
             raise ValueError(f"symbol {s} is outside the terminal alphabet")
-    cnf = _cnf_form(g)
+    leaf, pairs, start, start_nullable = _cyk_tables(g)
     if not w:
-        return () in cnf.rhs_for(cnf.start)
-    term_index, pair_index = _cyk_indexes(cnf)
+        return start_nullable
     n = len(w)
-    toks = [g.terminals.names[s] for s in w]
-    table: list[list[set[str]]] = [[set() for _ in range(n + 1)] for _ in range(n)]
-    for i, tok in enumerate(toks):
-        table[i][1] = set(term_index.get(tok, ()))
+    table: list[list[set[int]]] = [[set() for _ in range(n + 1)] for _ in range(n)]
+    for i, s in enumerate(w):
+        table[i][1] = set(leaf[s])
     for span in range(2, n + 1):
         for i in range(n - span + 1):
             cell = table[i][span]
@@ -263,10 +158,10 @@ def cyk_accepts(g: Cfg, w: Word) -> bool:
                 if left and right:
                     for b in left:
                         for c in right:
-                            hit = pair_index.get((b, c))
+                            hit = pairs.get((b, c))
                             if hit:
                                 cell |= hit
-    return cnf.start in table[0][n]
+    return start in table[0][n]
 
 
 def _splits(n: int, parts: list[dict], least: list[int], i: int = 0) -> Iterator[tuple[int, ...]]:

@@ -60,6 +60,12 @@ DEFAULT_SEED = 1729
 
 CLAIM_IDS = ("thm1", "thm2", "thm3", "thm4", "thm5")
 
+# thm1 checks the filters with steps 1.._THM1_STEP_LIMIT and offsets
+# 0.._THM1_OFFSET_LIMIT; thm3 the shifts by _THM3_OFFSETS
+_THM1_STEP_LIMIT = 4
+_THM1_OFFSET_LIMIT = 4
+_THM3_OFFSETS = range(7)
+
 
 @dataclass
 class ClaimResult:
@@ -147,8 +153,6 @@ def verify_thm1(
     seed: int = DEFAULT_SEED,
     pool_size: int = 50,
     finiteness_pool: int = 20,
-    step_limit: int = 4,
-    offset_limit: int = 4,
     max_len: int = 7,
 ) -> ClaimResult:
     def body(result: ClaimResult) -> None:
@@ -157,8 +161,8 @@ def verify_thm1(
         for i in range(pool_size):
             d = random_dfa(rng, 5)
             automata = FilteredAutomata(d)
-            for a in range(1, step_limit + 1):
-                for b in range(offset_limit + 1):
+            for a in range(1, _THM1_STEP_LIMIT + 1):
+                for b in range(_THM1_OFFSET_LIMIT + 1):
                     f = ArithFilter(a, b)
                     try:
                         built = automata.build(
@@ -175,7 +179,7 @@ def verify_thm1(
                     cells += 1
         result.details.append(
             f"construction vs oracle: {pool_size} random automata, steps "
-            f"1..{step_limit}, offsets 0..{offset_limit}, words to length "
+            f"1..{_THM1_STEP_LIMIT}, offsets 0..{_THM1_OFFSET_LIMIT}, words to length "
             f"{max_len}: {cells} cells agree exactly"
         )
         result.details.append(
@@ -296,10 +300,10 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
 # thm3: the shifts of {0^n 1^n : n >= 0} are distinct
 
 
-def verify_thm3(offset_range: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6)) -> ClaimResult:
+def verify_thm3() -> ClaimResult:
     def body(result: ClaimResult) -> None:
         languages: dict[int, frozenset[str]] = {}
-        for b in offset_range:
+        for b in _THM3_OFFSETS:
             n_max = 2 * b + 2
             words = enumerate_cfg_words(ZERO_N_ONE_N_GRAMMAR, 2 * n_max)
             if not all(map(in_0n1n, words)):

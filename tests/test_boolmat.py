@@ -6,7 +6,7 @@ import pytest
 
 from aplang.automata import Alphabet, Dfa
 from aplang.boolmat import BoolMatrix, incidence_matrices, power_orbit
-from aplang.grammar import _cnf_form, _cyk_indexes
+from aplang.grammar import _cyk_tables
 from aplang.verification import random_dfa, verify_thm1
 
 from conftest import ab_star_dfa, universal_dfa
@@ -213,7 +213,7 @@ def test_matrix_validation():
 
 
 def test_process_caches_are_bounded_and_keep_thm1s_reuse():
-    for cache in (power_orbit, _cnf_form, _cyk_indexes):
+    for cache in (power_orbit, _cyk_tables):
         assert cache.cache_info().maxsize is not None
     # more automata than the cache holds, each one's orbit computed once:
     # thm1 keeps one FilteredAutomata per automaton for its 20 cells, so

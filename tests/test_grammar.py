@@ -1,5 +1,5 @@
-"""Grammars: CNF, CYK, bounded enumeration, and the three built-in
-pattern languages with their independent checks."""
+"""Grammars: CYK on a binary normal form, bounded enumeration, and the
+three built-in pattern languages with their independent checks."""
 
 import gc
 import random
@@ -26,7 +26,6 @@ from aplang.grammar import (
     in_thm2,
     in_thm5,
     thm5_witness,
-    to_cnf,
 )
 from aplang.verification import _is_123plus, _thm2_pattern_words
 
@@ -46,41 +45,22 @@ def test_cfg_validation():
         Cfg.make(ab, ("S",), "S", {"Q": [("a",)]})  # rule for unknown head
 
 
-# --- CNF ------------------------------------------------------------------------
+# --- CYK -------------------------------------------------------------------------
 
 
-def test_to_cnf_produces_cnf_and_preserves_language():
-    for g, bound in ((THM2_GRAMMAR, 7), (ZERO_N_ONE_N_GRAMMAR, 8)):
-        cnf = to_cnf(g)
-        assert cnf.is_cnf()
-        assert enumerate_cfg_words(cnf, bound) == enumerate_cfg_words(g, bound)
-
-
-def test_to_cnf_idempotent_on_cnf_input():
-    cnf = to_cnf(THM2_GRAMMAR)
-    again = to_cnf(cnf)
-    assert again.is_cnf()
-    assert enumerate_cfg_words(again, 7) == enumerate_cfg_words(cnf, 7)
-
-
-def test_to_cnf_epsilon_only_grammar():
+def test_cyk_epsilon_only_grammar():
     ab = Alphabet(("a", "b"))
     g = Cfg.make(ab, ("S",), "S", {"S": [()]})
-    cnf = to_cnf(g)
-    assert cnf.is_cnf()
     assert cyk_accepts(g, ())
     assert not cyk_accepts(g, (0,))
 
 
-def test_to_cnf_empty_grammar():
+def test_cyk_empty_grammar():
     ab = Alphabet(("a",))
     g = Cfg.make(ab, ("S",), "S", {"S": []})
     assert enumerate_cfg_words(g, 5) == set()
     assert not cyk_accepts(g, ())
     assert not cyk_accepts(g, (0,))
-
-
-# --- CYK -------------------------------------------------------------------------
 
 
 def test_cyk_examples():
@@ -239,6 +219,30 @@ def test_enumerate_matches_cyk_on_random_grammars():
         with time_limit(5):
             words = enumerate_cfg_words(g, 5)
         assert words == {w for w in short if cyk_accepts(g, g.terminals.word(w))}, g
+
+
+def test_enumerate_agrees_on_a_binarized_grammar():
+    # THM2_GRAMMAR with wrapped terminals and two-symbol bodies: every word
+    # passes through link and unit chains
+    g = Cfg.make(
+        THM2_ALPHABET,
+        ("S", "X", "Y", "A", "U", "B", "O", "T", "Z", "H"),
+        "S",
+        {
+            "S": [("O", "X")],
+            "X": [("Z", "Y")],
+            "Y": [("A", "B")],
+            "A": [("Z", "U"), ("T",)],
+            "U": [("A", "B")],
+            "B": [("Z", "B"), ("Z", "H")],
+            "O": [("1",)],
+            "T": [("2",)],
+            "Z": [("0",)],
+            "H": [("3",)],
+        },
+    )
+    for bound in (7, 12):
+        assert enumerate_cfg_words(g, bound) == enumerate_cfg_words(THM2_GRAMMAR, bound)
 
 
 def test_enumerate_follows_unit_chains_and_cycles():

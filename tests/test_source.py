@@ -65,6 +65,22 @@ def test_oracles_walk_the_source_as_given():
         assert used == set()
 
 
+def test_package_exports_match_all():
+    # a name imported but left out of __all__, or listed but not imported,
+    # breaks the star import the README's library tour uses
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported == set(aplang.__all__)
+    namespace: dict = {}
+    exec("from aplang import *", namespace)
+    assert set(aplang.__all__) <= namespace.keys()
+
+
 def test_thm5_counter_and_enumerator_share_no_functions():
     # the enumerator is the counter's oracle: both read the checked pin
     # tables of _thm5_pins, and neither names a function of the other
@@ -120,10 +136,17 @@ def test_thm2_oracles_do_not_use_the_grammar():
 
 def test_enumerator_does_not_use_cyk():
     # CYK is the enumerator's oracle on random grammars, so the enumerator
-    # and the module functions it calls may not name it or its CNF
+    # and the module functions it calls may not name it or its tables
     reached, named = _reached("grammar.py", "enumerate_cfg_words")
     assert reached == {"enumerate_cfg_words", "_splits"}
-    assert named & {"cyk_accepts", "to_cnf", "_cnf_form", "_cyk_indexes"} == set()
+    assert named & {"cyk_accepts", "_cyk_tables"} == set()
+
+
+def test_cyk_does_not_use_the_enumerator():
+    # the reverse guard: CYK keeps its own nullable fixpoint
+    reached, named = _reached("grammar.py", "cyk_accepts")
+    assert reached == {"cyk_accepts", "_cyk_tables"}
+    assert named & {"enumerate_cfg_words", "_splits"} == set()
 
 
 def test_only_timed_reports_a_counterexample():
