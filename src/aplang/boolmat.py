@@ -39,14 +39,6 @@ class BoolMatrix:
     def identity(n: int) -> "BoolMatrix":
         return BoolMatrix(n, tuple(1 << i for i in range(n)))
 
-    @staticmethod
-    def from_entries(n: int, entries) -> "BoolMatrix":
-        """Test aid: the n x n matrix with a one at each (row, column) entry."""
-        rows = [0] * n
-        for i, j in entries:
-            rows[i] |= 1 << j
-        return BoolMatrix(n, tuple(rows))
-
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 

@@ -10,12 +10,11 @@ space finite because matrix powers are eventually periodic.
 
 from __future__ import annotations
 
-from itertools import product
 from math import isqrt
 from typing import Sequence, TypeVar
 
 from .automata import Dfa, Nfa, Word
-from .boolmat import BoolMatrix, incidence_matrices, power_orbit
+from .boolmat import incidence_matrices, power_orbit
 
 W = TypeVar("W", bound=Sequence)
 
@@ -111,35 +110,38 @@ def diag_oracle_accepts(d: Dfa, w: Word) -> bool:
     """Word-level oracle: is w the diagonal of some accepted square word?
 
     No guessing involved: between consecutive diagonal letters lie exactly
-    t = len(w) free letters, and M^t sums all length-t paths, so one pass
-    multiplying letter matrices interleaved with M^t decides membership.
-    M^t comes from t plain products, not from the construction's power
-    orbit.
+    t = len(w) free letters, so one walk of the source's state set decides
+    membership: step by each letter of w, then t times by every symbol
+    before the next letter.  That is v * M_c * M^t per letter, computed on
+    d.delta without the construction's matrices or power orbit.
     """
     t = len(w)
     if t == 0:
         raise ValueError("the empty word has no diagonal source")
-    mats, m = incidence_matrices(d)
-    if any(not 0 <= s < len(mats) for s in w):
+    k = len(d.alphabet)
+    if any(not 0 <= s < k for s in w):
         raise ValueError("symbol outside the alphabet")
-    gap = BoolMatrix.identity(d.size)
-    for _ in range(t):
-        gap = gap @ m
-    v = 1 << d.start
+    delta = d.delta
+    states = {d.start}
     for j, s in enumerate(w):
-        v = mats[s].rows_or(v)
+        states = {delta[q][s] for q in states}
         if j < t - 1:
-            v = gap.rows_or(v)
-    return bool(v & sum(1 << q for q in d.accepting))
+            for _ in range(t):
+                states = {r for q in states for r in delta[q]}
+    return not states.isdisjoint(d.accepting)
 
 
 def diag_oracle_exhaustive(
     d: Dfa, t: int, budget: int = DEFAULT_WORD_BUDGET
 ) -> set[Word]:
-    """Literal enumeration: diagonals of every accepted word of length t*t.
+    """Diagonals of every accepted word of length t*t.
 
-    Refuses (BudgetExceededError) when the alphabet size to the t*t power
-    exceeds the budget.
+    Refuses (BudgetExceededError) when the alphabet size to the t*t power,
+    the number of such words, exceeds the budget.  Reads the t*t positions
+    of the square one at a time, keeping the set of (source state, diagonal
+    letters so far) pairs: a diagonal position appends its letter, any
+    other steps by every symbol.  That gives the same set as listing every
+    word, with levels of at most |Q| * k^t pairs.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -149,8 +151,11 @@ def diag_oracle_exhaustive(
         raise BudgetExceededError(
             f"{candidates} candidate words exceed the budget of {budget}"
         )
-    out: set[Word] = set()
-    for tup in product(range(k), repeat=t * t):
-        if d.accepts(tup):
-            out.add(diag_word(tup))
-    return out
+    delta = d.delta
+    level: set[tuple[int, Word]] = {(d.start, ())}
+    for i in range(t * t):
+        if i % (t + 1) == 0:
+            level = {(delta[q][c], x + (c,)) for q, x in level for c in range(k)}
+        else:
+            level = {(r, x) for q, x in level for r in delta[q]}
+    return {x for q, x in level if q in d.accepting}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aplang.automata import Dfa
-from aplang.boolmat import incidence_matrices, power_orbit
+from aplang.boolmat import BoolMatrix, incidence_matrices, power_orbit
 from aplang.diag import (
     BudgetExceededError,
     build_diag_nfa,
@@ -125,8 +125,40 @@ def test_matrix_oracle_a_star_length_two():
 
 
 def test_matrix_oracle_rejects_epsilon():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty word"):
         diag_oracle_accepts(universal_dfa(), ())
+
+
+def test_matrix_oracle_rejects_symbols_outside_the_alphabet():
+    for w in ((2,), (0, -1)):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            diag_oracle_accepts(universal_dfa(), w)
+
+
+def matrix_power_accepts(d: Dfa, w) -> bool:
+    """The matrix formulation: one pass of v * M_c * M^t per letter, with
+    M^t from t plain products of the incidence matrices' union."""
+    t = len(w)
+    mats, m = incidence_matrices(d)
+    gap = BoolMatrix.identity(d.size)
+    for _ in range(t):
+        gap = gap @ m
+    v = 1 << d.start
+    for j, s in enumerate(w):
+        v = mats[s].rows_or(v)
+        if j < t - 1:
+            v = gap.rows_or(v)
+    return bool(v & sum(1 << q for q in d.accepting))
+
+
+def test_matrix_oracle_matches_matrix_powers():
+    rng = random.Random(39)
+    for _ in range(40):
+        d = random_dfa(rng, 5)
+        k = len(d.alphabet)
+        for t in range(1, 6):
+            for w in product(range(k), repeat=t):
+                assert diag_oracle_accepts(d, w) == matrix_power_accepts(d, w), (d, w)
 
 
 def test_exhaustive_oracle_examples():
@@ -134,6 +166,23 @@ def test_exhaustive_oracle_examples():
     assert diag_oracle_exhaustive(empty_dfa(), 2) == set()
     d = universal_dfa()
     assert diag_oracle_exhaustive(d, 1) == {(0,), (1,)}
+
+
+def literal_diagonals(d: Dfa, t: int) -> set:
+    """The definition: the diagonal of every accepted word of length t*t."""
+    k = len(d.alphabet)
+    return {diag_word(w) for w in product(range(k), repeat=t * t) if d.accepts(w)}
+
+
+def test_exhaustive_oracle_matches_the_literal_definition():
+    rng = random.Random(38)
+    for _ in range(30):
+        d = random_dfa(rng, 4, min_symbols=1, max_symbols=3)
+        for t in range(1, 4):
+            assert diag_oracle_exhaustive(d, t) == literal_diagonals(d, t), (d, t)
+    for _ in range(4):
+        d = random_dfa(rng, 4, min_symbols=2, max_symbols=2)
+        assert diag_oracle_exhaustive(d, 4, budget=1 << 16) == literal_diagonals(d, 4), d
 
 
 def test_exhaustive_oracle_budget_guard():

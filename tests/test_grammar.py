@@ -255,6 +255,13 @@ def test_enumerate_follows_unit_chains_and_cycles():
     assert enumerate_cfg_words(cycle, 3) == {"a", "b"}
 
 
+def test_enumerate_fills_the_last_body_symbol_to_its_full_room():
+    # the longest word abbbbb needs B's room 6 - |a| = 5 in S -> a B
+    ab = Alphabet(("a", "b"))
+    g = Cfg.make(ab, ("S", "B"), "S", {"S": [("a", "B")], "B": [("b", "B"), ("b",)]})
+    assert enumerate_cfg_words(g, 6) == {"a" + "b" * n for n in range(1, 6)}
+
+
 def test_enumerate_leaves_no_garbage_cycles():
     # a cycle would keep the word table alive until the cyclic collector ran
     gc.collect()

@@ -21,27 +21,36 @@ def test_no_assert_in_src():
 
 def test_word_oracles_share_nothing_with_the_construction():
     # an oracle only checks the construction while it stays independent of it
-    oracles = {"_SourceWalk", "filtered_language_oracle", "first_disagreement"}
-    construction = {
-        "BoolMatrix",
-        "FilteredAutomata",
-        "build_filtered_dfa",
-        "incidence_matrices",
-        "offset_half",
-        "power_orbit",
-        "step_half",
+    checks = {
+        "filtration.py": (
+            {"_SourceWalk", "filtered_language_oracle", "first_disagreement"},
+            {
+                "BoolMatrix",
+                "FilteredAutomata",
+                "build_filtered_dfa",
+                "incidence_matrices",
+                "offset_half",
+                "power_orbit",
+                "step_half",
+            },
+        ),
+        "diag.py": (
+            {"diag_oracle_accepts", "diag_oracle_exhaustive"},
+            {"BoolMatrix", "incidence_matrices", "power_orbit", "build_diag_nfa", "orbit"},
+        ),
     }
-    tree = ast.parse((SRC / "filtration.py").read_text(encoding="utf-8"))
-    defs = [node for node in tree.body if getattr(node, "name", None) in oracles]
-    assert {node.name for node in defs} == oracles
-    used = {
-        (node.name, name)
-        for node in defs
-        for sub in ast.walk(node)
-        for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
-        if name in construction
-    }
-    assert used == set()
+    for module, (oracles, construction) in checks.items():
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        defs = [node for node in tree.body if getattr(node, "name", None) in oracles]
+        assert {node.name for node in defs} == oracles
+        used = {
+            (node.name, name)
+            for node in defs
+            for sub in ast.walk(node)
+            for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
+            if name in construction
+        }
+        assert used == set(), module
 
 
 def test_oracles_walk_the_source_as_given():
