@@ -180,12 +180,6 @@ class Dfa:
                         stack.append((w + (c,), t))
         return out
 
-    def equivalent(self, other: "Dfa") -> bool:
-        """Test aid: language equality, as identity of canonical minimized forms."""
-        if self.alphabet != other.alphabet:
-            raise ValueError("alphabet mismatch")
-        return self.minimized() == other.minimized()
-
     def minimized(self) -> "Dfa":
         """Unique minimal complete DFA in canonical form: states renumbered
         by breadth-first discovery order from the start state, scanning

@@ -172,32 +172,40 @@ def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
 
 
 class _SourceWalk:
-    """The source DFA walked with concrete state sets, the shared core of
-    the word-level oracles; it knows nothing of the matrix construction.
+    """The source DFA walked with concrete state sets for one step and a
+    list of offsets, the shared core of the word-level oracles; it knows
+    nothing of the matrix construction.
 
-    A node stands for every filtered word that leads to it: None for the
-    empty word, otherwise the set of source states the unfiltered sources
-    of a word can end in, right after its last kept letter.  The empty
-    word's sources are all reached by the offset prefix of free letters;
-    a kept letter c follows the prefix (from None) or step-1 free letters
-    (from a set) and then reads c.  A set accepts iff fewer than step
-    trailing free letters reach an accepting state; None accepts iff some
-    accepted source fits inside the offset.
+    A node stands for every filtered word that leads to it: the int i for
+    the empty word under offsets[i], otherwise the set of source states
+    the unfiltered sources of a word can end in, right after its last
+    kept letter.  The empty word's sources under offsets[i] are all
+    reached by that offset's prefix of free letters; a kept letter c
+    follows the prefix (from an int) or step-1 free letters (from a set)
+    and then reads c.  A set accepts iff fewer than step trailing free
+    letters reach an accepting state; the int i accepts iff some accepted
+    source fits inside offsets[i].  Past the first letter every node is a
+    set and its steps depend on the step alone, so the caches serve every
+    offset.
     """
 
-    def __init__(self, d: Dfa, f: ArithFilter) -> None:
+    def __init__(self, d: Dfa, step: int, offsets: Sequence[int]) -> None:
         self._delta = d.delta
         self._final = d.accepting
-        self._step = f.step
+        self._step = step
         self._free: dict[frozenset[int], frozenset[int]] = {}
-        self._kept: dict[tuple[Optional[frozenset[int]], int], frozenset[int]] = {}
+        self._kept: dict[tuple[int | frozenset[int], int], frozenset[int]] = {}
         self._accepts: dict[frozenset[int], bool] = {}
         current = frozenset((d.start,))
-        self._eps = bool(current & self._final)
-        for _ in range(f.offset):
+        eps = bool(current & self._final)
+        # prefix[b]: (the states after b free letters, whether one of them was accepting)
+        prefix = [(current, eps)]
+        for _ in range(max(offsets, default=0)):
             current = self._free_letter(current)
-            self._eps = self._eps or bool(current & self._final)
-        self._entry = current
+            eps = eps or bool(current & self._final)
+            prefix.append((current, eps))
+        self._entry = [prefix[b][0] for b in offsets]
+        self._eps = [prefix[b][1] for b in offsets]
 
     def _free_letter(self, states: frozenset[int]) -> frozenset[int]:
         cached = self._free.get(states)
@@ -206,13 +214,13 @@ class _SourceWalk:
             self._free[states] = cached
         return cached
 
-    def step(self, node: Optional[frozenset[int]], c: int) -> frozenset[int]:
+    def step(self, node: int | frozenset[int], c: int) -> frozenset[int]:
         """The node reached from node by the kept letter c."""
         key = (node, c)
         cached = self._kept.get(key)
         if cached is None:
-            if node is None:
-                gap = self._entry
+            if isinstance(node, int):
+                gap = self._entry[node]
             else:
                 gap = node
                 for _ in range(self._step - 1):
@@ -221,9 +229,9 @@ class _SourceWalk:
             self._kept[key] = cached
         return cached
 
-    def accepts(self, node: Optional[frozenset[int]]) -> bool:
-        if node is None:
-            return self._eps
+    def accepts(self, node: int | frozenset[int]) -> bool:
+        if isinstance(node, int):
+            return self._eps[node]
         cached = self._accepts.get(node)
         if cached is None:
             states = node
@@ -247,41 +255,51 @@ def filtered_language_oracle(d: Dfa, f: ArithFilter, max_len: int) -> set[Word]:
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    walk = _SourceWalk(d, f)
+    walk = _SourceWalk(d, f.step, [f.offset])
     symbols = range(len(d.alphabet))
-    out: set[Word] = {()} if walk.accepts(None) else set()
-    level: dict[Word, Optional[frozenset[int]]] = {(): None}
+    out: set[Word] = {()} if walk.accepts(0) else set()
+    level: dict[Word, int | frozenset[int]] = {(): 0}
     for _ in range(max_len):
         level = {w + (c,): walk.step(node, c) for w, node in level.items() for c in symbols}
         out.update(w for w, node in level.items() if walk.accepts(node))
     return out
 
 
-def first_disagreement(d: Dfa, f: ArithFilter, dfa: Dfa, max_len: int) -> Optional[Word]:
-    """The tuple-least word of length <= max_len that dfa and the filtered
-    language of d disagree on, or None if they agree on all of them; the
-    same answer as sorted(set(dfa.enumerate_accepted(max_len)) ^
-    filtered_language_oracle(d, f, max_len))[0], without listing words.
+def first_disagreements(
+    d: Dfa, step: int, offsets: Sequence[int], dfa: Dfa, max_len: int
+) -> list[Optional[Word]]:
+    """For each offsets[i], the tuple-least word of length <= max_len that
+    dfa started at node i and the filtered language of d by (step,
+    offsets[i]) disagree on, or None if they agree on all of them; the
+    same answer as min(set(replace(dfa, start=i).enumerate_accepted(max_len))
+    ^ filtered_language_oracle(d, ArithFilter(step, offsets[i]), max_len)),
+    without listing words.  Node i is the start of offsets[i], as in
+    FilteredAutomata.build; dfa.start is not read.
 
-    dfa is walked in lockstep with the oracle's source walk, each
-    (dfa state, source node) pair once, breadth first to depth max_len.
-    A backward search from the pairs whose acceptance differs gives each
-    pair's distance to the nearest disagreement, and the witness is read
+    dfa is walked in lockstep with the oracle's source walk, from every
+    start pair (i, i) at once, each (dfa state, source node) pair once,
+    breadth first to depth max_len.  One backward search from the pairs
+    whose acceptance differs gives each pair's distance to the nearest
+    disagreement, for every start alike, and each start's witness is read
     off greedily: stop at a disagreeing pair, else take the least letter
     whose pair still has a disagreement within the remaining length.  The
     cost is bounded by the reachable pairs, not by the number of words.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
+    if step < 1 or min(offsets, default=0) < 0:
+        raise ValueError("step must be at least 1 and offsets non-negative")
     if dfa.alphabet != d.alphabet:
         raise ValueError("alphabet mismatch")
-    walk = _SourceWalk(d, f)
+    if len(offsets) > dfa.size:
+        raise ValueError(f"{len(offsets)} offsets but only {dfa.size} start nodes")
+    walk = _SourceWalk(d, step, offsets)
     symbols = range(len(d.alphabet))
-    start = (dfa.start, None)
+    starts = [(i, i) for i in range(len(offsets))]
     succ: dict[tuple, tuple[tuple, ...]] = {}
     preds: dict[tuple, list[tuple]] = {}
-    seen = {start}
-    layer = [start]
+    seen = set(starts)
+    layer = starts
     for _ in range(max_len):
         if not layer:
             break
@@ -309,16 +327,19 @@ def first_disagreement(d: Dfa, f: ArithFilter, dfa: Dfa, max_len: int) -> Option
                     nxt.append(pair)
         frontier = nxt
 
-    if dist.get(start, max_len + 1) > max_len:
-        return None
-    word: list[int] = []
-    pair = start
-    while dist[pair]:
-        budget = max_len - len(word) - 1
-        c = next(c for c, t in enumerate(succ[pair]) if dist.get(t, budget + 1) <= budget)
-        word.append(c)
-        pair = succ[pair][c]
-    return tuple(word)
+    witnesses: list[Optional[Word]] = []
+    for pair in starts:
+        if dist.get(pair, max_len + 1) > max_len:
+            witnesses.append(None)
+            continue
+        word: list[int] = []
+        while dist[pair]:
+            budget = max_len - len(word) - 1
+            c = next(c for c, t in enumerate(succ[pair]) if dist.get(t, budget + 1) <= budget)
+            word.append(c)
+            pair = succ[pair][c]
+        witnesses.append(tuple(word))
+    return witnesses
 
 
 @dataclass(frozen=True)

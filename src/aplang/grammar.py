@@ -146,22 +146,23 @@ def cyk_accepts(g: Cfg, w: Word) -> bool:
     if not w:
         return start_nullable
     n = len(w)
-    table: list[list[set[int]]] = [[set() for _ in range(n + 1)] for _ in range(n)]
-    for i, s in enumerate(w):
-        table[i][1] = set(leaf[s])
+    # chart[i]: span -> the non-empty set of ids deriving w[i:i+span]; an
+    # empty cell has no entry, so a split is tried only where both halves derive
+    chart: list[dict[int, frozenset[int] | set[int]]] = [{1: leaf[s]} for s in w]
     for span in range(2, n + 1):
         for i in range(n - span + 1):
-            cell = table[i][span]
-            for split in range(1, span):
-                left = table[i][split]
-                right = table[i + split][span - split]
-                if left and right:
+            cell: set[int] = set()
+            for split, left in chart[i].items():
+                right = chart[i + split].get(span - split)
+                if right:
                     for b in left:
                         for c in right:
                             hit = pairs.get((b, c))
                             if hit:
                                 cell |= hit
-    return start in table[0][n]
+            if cell:
+                chart[i][span] = cell
+    return start in chart[0].get(n, ())
 
 
 def _splits(n: int, parts: list[dict], least: list[int], i: int = 0) -> Iterator[tuple[int, ...]]:

@@ -43,7 +43,7 @@ from .filtration import (
     enumerate_distinct_filtrations,
     enumeration_window,
     filter_word,
-    first_disagreement,
+    first_disagreements,
 )
 from .grammar import (
     THM2_GRAMMAR,
@@ -157,26 +157,27 @@ def verify_thm1(
 ) -> ClaimResult:
     def body(result: ClaimResult) -> None:
         rng = random.Random(seed)
+        offsets = range(_THM1_OFFSET_LIMIT + 1)
         cells = 0
         for i in range(pool_size):
             d = random_dfa(rng, 5)
             automata = FilteredAutomata(d)
+            offset_halves = [automata.offset_half(b) for b in offsets]
             for a in range(1, _THM1_STEP_LIMIT + 1):
-                for b in range(_THM1_OFFSET_LIMIT + 1):
-                    f = ArithFilter(a, b)
-                    try:
-                        built = automata.build(
-                            automata.step_half(a), [automata.offset_half(b)]
-                        )
-                    except RuntimeError as exc:
-                        raise _Refuted(f"automaton {i}, {f}: {exc}") from exc
-                    diff = first_disagreement(d, f, built, max_len)
+                # one automaton per step, node b the start of offset b
+                try:
+                    built = automata.build(automata.step_half(a), offset_halves)
+                except RuntimeError as exc:
+                    first = ArithFilter(a, offsets[0])
+                    raise _Refuted(f"automaton {i}, {first}: {exc}") from exc
+                diffs = first_disagreements(d, a, offsets, built, max_len)
+                for b, diff in zip(offsets, diffs):
                     if diff is not None:
                         raise _Refuted(
-                            f"automaton {i}, {f}: construction and oracle "
+                            f"automaton {i}, {ArithFilter(a, b)}: construction and oracle "
                             f"disagree on {d.alphabet.format(diff)!r}"
                         )
-                    cells += 1
+                cells += len(offsets)
         result.details.append(
             f"construction vs oracle: {pool_size} random automata, steps "
             f"1..{_THM1_STEP_LIMIT}, offsets 0..{_THM1_OFFSET_LIMIT}, words to length "

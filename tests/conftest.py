@@ -17,6 +17,13 @@ ZO = Alphabet(("0", "1"))
 OTT = Alphabet(("1", "2", "3"))
 
 
+def equivalent(x: Dfa, y: Dfa) -> bool:
+    """Language equality, as identity of canonical minimized forms."""
+    if x.alphabet != y.alphabet:
+        raise ValueError("alphabet mismatch")
+    return x.minimized() == y.minimized()
+
+
 def ab_star_dfa() -> Dfa:
     """(ab)*, as a 3-state complete automaton (2 live states + dead)."""
     return Dfa.build(AB, 2, 0, [0], {(0, 0): 1, (1, 1): 0})

@@ -13,6 +13,7 @@ from conftest import (
     AB,
     ab_star_dfa,
     empty_dfa,
+    equivalent,
     single_word_dfa,
     twos_dfa,
     universal_dfa,
@@ -65,7 +66,7 @@ def test_nfa_rejects_foreign_symbols(ab_star):
 
 def test_determinize_round_trip(ab_star):
     again = ab_star.to_nfa().determinize()
-    assert again.equivalent(ab_star)
+    assert equivalent(again, ab_star)
     for w in all_words(AB, 6):
         assert again.accepts(w) == ab_star.accepts(w)
 
@@ -196,14 +197,14 @@ def test_minimized_states_pairwise_distinguishable():
 
 
 def test_equivalent_reflexive(ab_star):
-    assert ab_star.equivalent(ab_star)
+    assert equivalent(ab_star, ab_star)
 
 
 def test_equivalent_detects_difference():
     d1 = ab_star_dfa()
     # (ab)*ab: same loop, accepting only after at least one ab
     d2 = Dfa.build(AB, 3, 0, [2], {(0, 0): 1, (1, 1): 2, (2, 0): 1})
-    assert not d1.equivalent(d2)
+    assert not equivalent(d1, d2)
     assert d1.accepts(AB.word("ab")) and d2.accepts(AB.word("ab"))
     assert d1.accepts(()) and not d2.accepts(())
 
@@ -220,20 +221,20 @@ def test_equivalent_is_an_equivalence_relation():
         other = random_dfa(rng, 4)
         pool = variants + ([other] if other.alphabet == base.alphabet else [])
         for x in pool:
-            assert x.equivalent(x)
+            assert equivalent(x, x)
             for y in pool:
-                assert x.equivalent(y) == y.equivalent(x)
+                assert equivalent(x, y) == equivalent(y, x)
                 for z in pool:
-                    if x.equivalent(y) and y.equivalent(z):
-                        assert x.equivalent(z)
-        assert variants[0].equivalent(variants[1])
-        assert variants[1].equivalent(variants[2])
-        assert variants[0].equivalent(variants[2])
+                    if equivalent(x, y) and equivalent(y, z):
+                        assert equivalent(x, z)
+        assert equivalent(variants[0], variants[1])
+        assert equivalent(variants[1], variants[2])
+        assert equivalent(variants[0], variants[2])
 
 
 def test_equivalent_alphabet_mismatch():
     with pytest.raises(ValueError):
-        ab_star_dfa().equivalent(twos_dfa())
+        equivalent(ab_star_dfa(), twos_dfa())
 
 
 # --- enumeration and shortest words ----------------------------------------

@@ -21,15 +21,17 @@ from aplang.filtration import (
     enumeration_window,
     filter_word,
     filtered_language_oracle,
-    first_disagreement,
+    first_disagreements,
 )
 from aplang.verification import DEFAULT_SEED, random_dfa, run_claims, verify_thm1
 
 from conftest import (
     AB,
+    ZO,
     ab_star_dfa,
     b_ab_star_dfa,
     empty_dfa,
+    equivalent,
     hub_chain_dfa,
     padded_copy,
     universal_dfa,
@@ -104,8 +106,9 @@ def test_signature_distinguishes_steps(ab_star):
     # step 2 has the same stride but a shorter fold; its language is a* too
     assert signature(ab_star, ArithFilter(2, 0)) == ((1, 2), (1, True))
     assert signature(ab_star, ArithFilter(4, 0)) == ((1, 3), (1, True))
-    assert build_filtered_dfa(ab_star, ArithFilter(4, 0)).equivalent(
-        build_filtered_dfa(ab_star, ArithFilter(2, 0))
+    assert equivalent(
+        build_filtered_dfa(ab_star, ArithFilter(4, 0)),
+        build_filtered_dfa(ab_star, ArithFilter(2, 0)),
     )
     # consecutive steps do differ: M^2 != M^1
     assert orbit.power(2) != orbit.power(1)
@@ -212,7 +215,7 @@ def test_filtered_ab_star_examples(ab_star):
     # even positions of (ab)^k spell a^k, odd positions spell b^(k-ish)
     a_star = Dfa.build(AB, 1, 0, [0], {(0, 0): 0})
     built = build_filtered_dfa(ab_star, ArithFilter(2, 0))
-    assert built.equivalent(a_star)
+    assert equivalent(built, a_star)
     by_oracle = filtered_language_oracle(ab_star, ArithFilter(2, 0), 6)
     assert set(built.enumerate_accepted(6)) == by_oracle
     assert {AB.format(w) for w in by_oracle} == {"a" * k for k in range(7)}
@@ -227,7 +230,7 @@ def test_filtered_identity_equivalence():
     rng = random.Random(23)
     for _ in range(12):
         d = random_dfa(rng, 5)
-        assert build_filtered_dfa(d, ArithFilter(1, 0)).equivalent(d)
+        assert equivalent(build_filtered_dfa(d, ArithFilter(1, 0)), d)
 
 
 def test_filtered_zeros_then_one_shift_two(zeros_then_one):
@@ -295,9 +298,10 @@ def word_set_witness(d, f, dfa, max_len):
     return min(diff) if diff else None
 
 
-def flip_last_state(d, f):
-    built = build_filtered_dfa(d, f)
-    return replace(built, accepting=built.accepting ^ {built.size - 1})
+def build_per_step(d, step, offsets):
+    """thm1's multi-start build: node i is the start of offsets[i]."""
+    automata = FilteredAutomata(d)
+    return automata.build(automata.step_half(step), [automata.offset_half(b) for b in offsets])
 
 
 def test_first_disagreement_matches_word_sets_on_mutants():
@@ -308,23 +312,48 @@ def test_first_disagreement_matches_word_sets_on_mutants():
         f = ArithFilter(rng.randint(1, 4), rng.randint(0, 4))
         max_len = rng.randint(0, 7)
         built = build_filtered_dfa(d, f)
-        assert first_disagreement(d, f, built, max_len) is None
+        assert first_disagreements(d, f.step, [f.offset], built, max_len)[0] is None
         mutant = replace(built, accepting=built.accepting ^ {rng.randrange(built.size)})
         want = word_set_witness(d, f, mutant, max_len)
-        assert first_disagreement(d, f, mutant, max_len) == want
+        assert first_disagreements(d, f.step, [f.offset], mutant, max_len)[0] == want
         witnesses.add(want)
     # both verdicts occur, and witnesses of several lengths
     assert None in witnesses
     assert len({len(w) for w in witnesses if w is not None}) >= 4
 
 
+def test_first_disagreements_match_word_sets_per_start_on_mutants():
+    rng = random.Random(37)
+    witnesses = set()
+    repeated = 0
+    for _ in range(300):
+        d = random_dfa(rng, 5)
+        step = rng.randint(1, 4)
+        offsets = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
+        max_len = rng.randint(0, 7)
+        built = build_per_step(d, step, offsets)
+        assert first_disagreements(d, step, offsets, built, max_len) == [None] * len(offsets)
+        mutant = replace(built, accepting=built.accepting ^ {rng.randrange(built.size)})
+        want = [
+            word_set_witness(d, ArithFilter(step, b), replace(mutant, start=i), max_len)
+            for i, b in enumerate(offsets)
+        ]
+        assert first_disagreements(d, step, offsets, mutant, max_len) == want
+        witnesses.update(want)
+        repeated += len(set(offsets)) < len(offsets)
+    # both verdicts occur, witnesses of several lengths, and repeated offsets
+    assert None in witnesses
+    assert len({len(w) for w in witnesses if w is not None}) >= 4
+    assert repeated
+
+
 def test_first_disagreement_on_dropped_empty_word(zeros_then_one):
     # the criterion-9b mutant: the empty word is filtered in, but not built in
     f = ArithFilter(1, 2)
     built = build_filtered_dfa(zeros_then_one, f)
-    assert first_disagreement(zeros_then_one, f, built, 4) is None
+    assert first_disagreements(zeros_then_one, f.step, [f.offset], built, 4)[0] is None
     mutant = replace(built, accepting=built.accepting - {0})
-    assert first_disagreement(zeros_then_one, f, mutant, 4) == ()
+    assert first_disagreements(zeros_then_one, f.step, [f.offset], mutant, 4)[0] == ()
 
 
 def test_word_oracles_reject_negative_lengths(ab_star):
@@ -333,11 +362,45 @@ def test_word_oracles_reject_negative_lengths(ab_star):
     with pytest.raises(ValueError):
         filtered_language_oracle(ab_star, f, -1)
     with pytest.raises(ValueError):
-        first_disagreement(ab_star, f, built, -1)
+        first_disagreements(ab_star, f.step, [f.offset], built, -1)
+
+
+def test_first_disagreements_reject_bad_arguments(ab_star, zeros_then_one):
+    built = build_per_step(ab_star, 2, [0, 1])
+    assert first_disagreements(ab_star, 2, [0, 1], built, 3) == [None, None]
+    assert zeros_then_one.alphabet == ZO != ab_star.alphabet
+    bad = [
+        (2, [0, 1], built, -1),  # negative max_len
+        (2, [0, 1], build_per_step(zeros_then_one, 2, [0, 1]), 3),  # alphabet mismatch
+        (2, [0] * (built.size + 1), built, 3),  # more offsets than start nodes
+        (0, [0, 1], built, 3),  # step below 1
+        (2, [0, -1], built, 3),  # negative offset
+    ]
+    for step, offsets, dfa, max_len in bad:
+        with pytest.raises(ValueError):
+            first_disagreements(ab_star, step, offsets, dfa, max_len)
+
+
+def test_thm1_builds_once_per_automaton_and_step(monkeypatch):
+    calls = []
+    build = FilteredAutomata.build
+
+    def counted(automata, step_half, offset_halves):
+        calls.append(len(offset_halves))
+        return build(automata, step_half, offset_halves)
+
+    monkeypatch.setattr(FilteredAutomata, "build", counted)
+    result = verify_thm1(pool_size=3, finiteness_pool=0)
+    assert result.outcome == "PASS"
+    assert "60 cells agree exactly" in result.details[0]
+    # 3 automata x steps 1..4, each build with a start node per offset 0..4
+    assert calls == [5] * 12
 
 
 def test_thm1_fails_with_the_word_set_witness(monkeypatch):
-    # thm1 builds each cell through its automaton's FilteredAutomata.build
+    # thm1 builds each (automaton, step) through FilteredAutomata.build,
+    # with node b the start of offset b; the mutant flips the build's last
+    # state, which every start node may reach
     build = FilteredAutomata.build
 
     def flipped(automata, step_half, offset_halves):
@@ -349,16 +412,19 @@ def test_thm1_fails_with_the_word_set_witness(monkeypatch):
     monkeypatch.undo()
     assert result.outcome == "FAIL"
     rng = random.Random(DEFAULT_SEED)
-    cells = (
-        (i, d, ArithFilter(a, b))
-        for i, d in enumerate(random_dfa(rng, 5) for _ in range(50))
-        for a in range(1, 5)
-        for b in range(5)
-    )
-    for i, d, f in cells:
-        diff = word_set_witness(d, f, flip_last_state(d, f), 7)
-        if diff is not None:
-            break
+    offsets = range(5)
+
+    def cells():
+        for i in range(50):
+            d = random_dfa(rng, 5)
+            for a in range(1, 5):
+                built = build_per_step(d, a, offsets)
+                mutant = replace(built, accepting=built.accepting ^ {built.size - 1})
+                for b in offsets:
+                    f = ArithFilter(a, b)
+                    yield i, d, f, word_set_witness(d, f, replace(mutant, start=b), 7)
+
+    i, d, f, diff = next(cell for cell in cells() if cell[3] is not None)
     assert diff != ()
     assert result.witness == (
         f"automaton {i}, {f}: construction and oracle "

@@ -23,7 +23,7 @@ def test_word_oracles_share_nothing_with_the_construction():
     # an oracle only checks the construction while it stays independent of it
     checks = {
         "filtration.py": (
-            {"_SourceWalk", "filtered_language_oracle", "first_disagreement"},
+            {"_SourceWalk", "filtered_language_oracle", "first_disagreements"},
             {
                 "BoolMatrix",
                 "FilteredAutomata",
@@ -57,7 +57,7 @@ def test_oracles_walk_the_source_as_given():
     # the constructions run on the minimal DFA; the oracles must not, so
     # every claim also checks the minimization
     oracles = {
-        "filtration.py": {"_SourceWalk", "filtered_language_oracle", "first_disagreement"},
+        "filtration.py": {"_SourceWalk", "filtered_language_oracle", "first_disagreements"},
         "diag.py": {"diag_oracle_accepts", "diag_oracle_exhaustive"},
     }
     quotient = {"minimized", "language_classes", "canonical_from", "equivalent"}
