@@ -116,13 +116,6 @@ class Dfa:
             q = self.delta[q][s]
         return q in self.accepting
 
-    def to_nfa(self) -> "Nfa":
-        """Test aid: the same automaton as an NFA of singleton target sets."""
-        rows = tuple(
-            tuple(frozenset((t,)) for t in row) for row in self.delta
-        )
-        return Nfa(self.alphabet, self.size, frozenset((self.start,)), self.accepting, rows)
-
     def shortest_word_length(self) -> Optional[int]:
         """Length of a shortest accepted word by breadth-first search, or
         None when the language is empty."""
@@ -276,8 +269,8 @@ class Nfa:
         return bool(current & self.accepting)
 
     def determinize(self) -> Dfa:
-        """Test aid: subset construction over the subsets reachable from the
-        initial set; the empty subset, if reached, is the dead state."""
+        """Subset construction over the subsets reachable from the initial
+        set; the empty subset, if reached, is the dead state."""
         k = len(self.alphabet)
         start = self.initial
         index: dict[frozenset[int], int] = {start: 0}

@@ -39,9 +39,6 @@ class BoolMatrix:
     def identity(n: int) -> "BoolMatrix":
         return BoolMatrix(n, tuple(1 << i for i in range(n)))
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def rows_or(self, bits: int) -> int:
         """Row vector times matrix: the OR of the rows selected by bits."""
         acc = 0

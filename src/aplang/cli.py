@@ -174,8 +174,7 @@ def _cmd_enumerate_filtrations(args: argparse.Namespace) -> int:
 
 
 def _cmd_diag(args: argparse.Namespace) -> int:
-    result = diag_word(args.word)
-    print(result if result else "(empty)")
+    print(diag_word(args.word))
     return 0
 
 

@@ -18,12 +18,6 @@ from .boolmat import incidence_matrices, power_orbit
 
 W = TypeVar("W", bound=Sequence)
 
-DEFAULT_WORD_BUDGET = 1 << 20
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a literal enumeration would visit too many candidates."""
-
 
 def diag_word(w: W) -> W:
     """Main diagonal of a word of square length n*n (n >= 1)."""
@@ -131,26 +125,17 @@ def diag_oracle_accepts(d: Dfa, w: Word) -> bool:
     return not states.isdisjoint(d.accepting)
 
 
-def diag_oracle_exhaustive(
-    d: Dfa, t: int, budget: int = DEFAULT_WORD_BUDGET
-) -> set[Word]:
+def diag_oracle_exhaustive(d: Dfa, t: int) -> set[Word]:
     """Diagonals of every accepted word of length t*t.
 
-    Refuses (BudgetExceededError) when the alphabet size to the t*t power,
-    the number of such words, exceeds the budget.  Reads the t*t positions
-    of the square one at a time, keeping the set of (source state, diagonal
-    letters so far) pairs: a diagonal position appends its letter, any
-    other steps by every symbol.  That gives the same set as listing every
-    word, with levels of at most |Q| * k^t pairs.
+    Reads the t*t positions of the square one at a time, keeping the set
+    of (source state, diagonal letters so far) pairs: a diagonal position
+    appends its letter, any other steps by every symbol.  That gives the
+    same set as listing every word, with levels of at most |Q| * k^t pairs.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
     k = len(d.alphabet)
-    candidates = k ** (t * t)
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"{candidates} candidate words exceed the budget of {budget}"
-        )
     delta = d.delta
     level: set[tuple[int, Word]] = {(d.start, ())}
     for i in range(t * t):

@@ -170,11 +170,6 @@ def save_dfa(d: Dfa, path: str) -> None:
         fh.write("\n")
 
 
-def load_nfa(path: str) -> Nfa:
-    """Test aid: reads back what save_nfa and the diag-nfa command write."""
-    return obj_to_nfa(_load_json(path))
-
-
 def save_nfa(n: Nfa, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(nfa_to_obj(n), fh, indent=2, sort_keys=True)

@@ -29,13 +29,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from .automata import Alphabet, Dfa
-from .diag import (
-    BudgetExceededError,
-    build_diag_nfa,
-    diag_oracle_accepts,
-    diag_oracle_exhaustive,
-    diag_word,
-)
+from .diag import build_diag_nfa, diag_oracle_accepts, diag_oracle_exhaustive, diag_word
 from .filtration import (
     ArithFilter,
     FilterFamily,
@@ -339,11 +333,7 @@ def verify_thm3() -> ClaimResult:
 # thm4: the diagonal NFA against both oracles
 
 
-def verify_thm4(
-    seed: int = DEFAULT_SEED,
-    pool_size: int = 30,
-    exhaustive_budget: int = 1 << 12,
-) -> ClaimResult:
+def verify_thm4(seed: int = DEFAULT_SEED, pool_size: int = 30) -> ClaimResult:
     def body(result: ClaimResult) -> None:
         rng = random.Random(seed)
         ab = Alphabet(("a", "b"))
@@ -355,60 +345,43 @@ def verify_thm4(
             (f"random {i}", random_dfa(rng, 4, min_symbols=2, max_symbols=2))
             for i in range(pool_size)
         )
-        divergence: Optional[str] = None
-        skipped_note: Optional[str] = None
         for name, d in pool:
-            k = len(d.alphabet)
             nfa = build_diag_nfa(d)
-            variant = build_diag_nfa(d, gap_after=True)
             for t in range(1, 5):
-                try:
-                    literal = diag_oracle_exhaustive(d, t, exhaustive_budget)
-                except BudgetExceededError as exc:
-                    if t < 4:
-                        raise _Refuted(
-                            f"{name}: unexpected budget refusal at t={t}: {exc}"
-                        ) from exc
-                    literal = None
-                    if skipped_note is None:
-                        skipped_note = (
-                            f"t=4: literal oracle skipped ({k}^16 candidates "
-                            f"exceed the claim budget of {exhaustive_budget})"
-                        )
-                for w in product(range(k), repeat=t):
+                literal = diag_oracle_exhaustive(d, t)
+                for w in product(range(len(d.alphabet)), repeat=t):
                     from_nfa = nfa.accepts(w)
                     from_matrix = diag_oracle_accepts(d, w)
-                    from_literal = from_matrix if literal is None else w in literal
+                    from_literal = w in literal
                     if not (from_nfa == from_matrix == from_literal):
-                        word = f"{name}, word {d.alphabet.format(w)!r}"
                         raise _Refuted(
-                            f"{word}: nfa and matrix oracle disagree at t=4"
-                            if literal is None
-                            else f"{word}: nfa={from_nfa}, matrix oracle="
-                            f"{from_matrix}, literal oracle={from_literal}"
-                        )
-                    if t < 4 and divergence is None and variant.accepts(w) != from_matrix:
-                        divergence = (
-                            f"gap-after-letter stepping diverges on {name}, "
-                            f"t={t}, word {d.alphabet.format(w)!r}; the "
-                            f"gap-before-letter stepping matches both oracles"
+                            f"{name}, word {d.alphabet.format(w)!r}: nfa={from_nfa}, "
+                            f"matrix oracle={from_matrix}, literal oracle={from_literal}"
                         )
         result.details.append(
             f"three-way agreement (nfa, matrix oracle, literal enumeration) "
-            f"for {len(pool)} automata and every word of length "
-            f"t <= {3 if skipped_note else 4}"
+            f"for {len(pool)} automata and every word of length t <= 4"
         )
-        if skipped_note:
-            result.details.append(
-                "two-way agreement (nfa, matrix oracle) for every word of length t = 4"
-            )
-            result.details.append(skipped_note)
+        variant = build_diag_nfa(abba, gap_after=True)
+        divergence = next(
+            (
+                w
+                for t in range(1, 4)
+                for w in product(range(len(ab)), repeat=t)
+                if variant.accepts(w) != diag_oracle_accepts(abba, w)
+            ),
+            None,
+        )
         if divergence is None:
             raise _Refuted(
                 "the gap-after-letter stepping unexpectedly matched the "
                 "oracles everywhere"
             )
-        result.details.append(f"info: {divergence}")
+        result.details.append(
+            "info: gap-after-letter stepping diverges on fixed witness {abba}, "
+            f"t={len(divergence)}, word {ab.format(divergence)!r}; the "
+            "gap-before-letter stepping matches both oracles"
+        )
 
     return _timed("thm4", body)
 

@@ -2,12 +2,14 @@
 profile: derandomized with no example database, so every run draws the
 same examples."""
 
+import json
 import random
 
 import pytest
 from hypothesis import settings
 
-from aplang.automata import Alphabet, Dfa
+from aplang.automata import Alphabet, Dfa, Nfa
+from aplang.jsonio import obj_to_nfa
 
 settings.register_profile("aplang", derandomize=True, database=None)
 settings.load_profile("aplang")
@@ -22,6 +24,18 @@ def equivalent(x: Dfa, y: Dfa) -> bool:
     if x.alphabet != y.alphabet:
         raise ValueError("alphabet mismatch")
     return x.minimized() == y.minimized()
+
+
+def to_nfa(d: Dfa) -> Nfa:
+    """The same automaton as an NFA of singleton target sets."""
+    rows = tuple(tuple(frozenset((t,)) for t in row) for row in d.delta)
+    return Nfa(d.alphabet, d.size, frozenset((d.start,)), d.accepting, rows)
+
+
+def load_nfa(path: str) -> Nfa:
+    """Reads back what save_nfa and the diag-nfa command write."""
+    with open(path, encoding="utf-8") as fh:
+        return obj_to_nfa(json.load(fh))
 
 
 def ab_star_dfa() -> Dfa:

@@ -200,11 +200,13 @@ def test_criterion_6_shift_distinctness():
 def test_criterion_7_diag_three_way_agreement():
     result = verify_thm4(seed=DEFAULT_SEED)
     assert result.outcome == "PASS", result.witness
+    assert result.details[0].startswith("three-way agreement")
+    assert result.details[0].endswith("every word of length t <= 4")
     info = [d for d in result.details if d.startswith("info:")]
     assert len(info) == 1 and "t=2" in info[0]
     report(
-        "criterion 7: PASS - NFA == matrix oracle == literal oracle (t <= 3), "
-        "NFA == matrix oracle (t = 4); gap-after-letter stepping diverges at t=2"
+        "criterion 7: PASS - NFA == matrix oracle == literal oracle (t <= 4); "
+        "gap-after-letter stepping diverges at t=2"
     )
 
 

@@ -15,6 +15,7 @@ from conftest import (
     empty_dfa,
     equivalent,
     single_word_dfa,
+    to_nfa,
     twos_dfa,
     universal_dfa,
 )
@@ -47,7 +48,7 @@ def test_dfa_accepts_rejects_foreign_symbols(ab_star):
 
 
 def test_nfa_accepts_basics(ab_star):
-    n = ab_star.to_nfa()
+    n = to_nfa(ab_star)
     assert n.accepts(())
     assert n.accepts(AB.word("ab"))
     assert not n.accepts(AB.word("a"))
@@ -58,14 +59,14 @@ def test_nfa_accepts_basics(ab_star):
 
 def test_nfa_rejects_foreign_symbols(ab_star):
     with pytest.raises(ValueError):
-        ab_star.to_nfa().accepts((9,))
+        to_nfa(ab_star).accepts((9,))
 
 
 # --- determinization -------------------------------------------------------
 
 
 def test_determinize_round_trip(ab_star):
-    again = ab_star.to_nfa().determinize()
+    again = to_nfa(ab_star).determinize()
     assert equivalent(again, ab_star)
     for w in all_words(AB, 6):
         assert again.accepts(w) == ab_star.accepts(w)
@@ -216,7 +217,7 @@ def test_equivalent_is_an_equivalence_relation():
         variants = [
             base,
             pad_with_unreachable(base),
-            base.to_nfa().determinize(),
+            to_nfa(base).determinize(),
         ]
         other = random_dfa(rng, 4)
         pool = variants + ([other] if other.alphabet == base.alphabet else [])

@@ -17,7 +17,6 @@ from aplang.diag import build_diag_nfa
 from aplang.jsonio import (
     dfa_to_obj,
     load_dfa,
-    load_nfa,
     nfa_to_obj,
     obj_to_dfa,
     save_dfa,
@@ -30,7 +29,7 @@ from aplang.verification import (
     verify_thm5,
 )
 
-from conftest import AB, ab_star_dfa, b_ab_star_dfa, equivalent, universal_dfa
+from conftest import AB, ab_star_dfa, b_ab_star_dfa, equivalent, load_nfa, universal_dfa
 
 
 def run_cli(capsys, *argv):
@@ -354,21 +353,43 @@ def test_thm2_and_thm3_do_not_format_words(monkeypatch):
     assert verify_thm3().outcome == "PASS"
 
 
-THM4_DETAILS = [
-    "three-way agreement (nfa, matrix oracle, literal enumeration) for 31 "
-    "automata and every word of length t <= 3",
-    "two-way agreement (nfa, matrix oracle) for every word of length t = 4",
-    "t=4: literal oracle skipped (2^16 candidates exceed the claim budget of 4096)",
-    "info: gap-after-letter stepping diverges on fixed witness {abba}, t=2, "
-    "word 'aa'; the gap-before-letter stepping matches both oracles",
-]
+def thm4_details(automata):
+    return [
+        f"three-way agreement (nfa, matrix oracle, literal enumeration) for "
+        f"{automata} automata and every word of length t <= 4",
+        "info: gap-after-letter stepping diverges on fixed witness {abba}, t=2, "
+        "word 'aa'; the gap-before-letter stepping matches both oracles",
+    ]
 
 
-@pytest.mark.parametrize("seed", [1729, 1])
-def test_thm4_report_is_pinned(seed):
-    result = verify_thm4(seed=seed)
+@pytest.mark.parametrize(
+    "kwargs, automata",
+    [
+        pytest.param({"seed": 1729}, 31, id="1729"),
+        pytest.param({"seed": 1}, 31, id="1"),
+        # the fixed witness alone names the same lengths and divergence
+        pytest.param({"pool_size": 0}, 1, id="pool-0"),
+    ],
+)
+def test_thm4_report_is_pinned(kwargs, automata):
+    result = verify_thm4(**kwargs)
     assert (result.claim, result.outcome, result.witness) == ("thm4", "PASS", None)
-    assert result.details == THM4_DETAILS
+    assert result.details == thm4_details(automata)
+
+
+def test_thm4_builds_the_gap_after_variant_once(monkeypatch):
+    # only the fixed witness's variant is consulted, so only it is built
+    real = aplang.verification.build_diag_nfa
+    variants = []
+
+    def counting(d, gap_after=False):
+        if gap_after:
+            variants.append(d)
+        return real(d, gap_after=gap_after)
+
+    monkeypatch.setattr(aplang.verification, "build_diag_nfa", counting)
+    assert verify_thm4().outcome == "PASS"
+    assert len(variants) == 1
 
 
 @pytest.mark.parametrize(
@@ -442,22 +463,10 @@ REFUTATIONS = [
         id="thm3-longest-all-one",
     ),
     pytest.param(
-        verify_thm4, {"exhaustive_budget": 4}, {},
-        "fixed witness {abba}: unexpected budget refusal at t=2: 16 candidate "
-        "words exceed the budget of 4",
-        id="thm4-budget-refusal",
-    ),
-    pytest.param(
         verify_thm4, {}, {"diag_oracle_accepts": lambda real: lambda d, w: False},
         "fixed witness {abba}, word 'aa': nfa=True, matrix oracle=False, "
         "literal oracle=True",
         id="thm4-three-way",
-    ),
-    pytest.param(
-        verify_thm4, {},
-        {"diag_oracle_accepts": lambda real: lambda d, w: real(d, w) != (len(w) == 4)},
-        "fixed witness {abba}, word 'aaaa': nfa and matrix oracle disagree at t=4",
-        id="thm4-two-way-at-4",
     ),
     pytest.param(
         verify_thm4, {},
@@ -531,40 +540,20 @@ def test_each_refutation_branch_reports_its_witness(
     assert (result.outcome, result.witness) == ("FAIL", witness)
 
 
-def test_thm4_compares_the_literal_oracle_at_4_when_the_budget_admits_it(monkeypatch):
+def test_thm4_compares_the_literal_oracle_at_4(monkeypatch):
     real = aplang.verification.diag_oracle_exhaustive
 
-    def extra_word_at_4(d, t, budget):
-        literal = real(d, t, budget)
+    def extra_word_at_4(d, t):
+        literal = real(d, t)
         return literal | {(0, 0, 0, 0)} if t == 4 else literal
 
     monkeypatch.setattr(aplang.verification, "diag_oracle_exhaustive", extra_word_at_4)
-    result = verify_thm4(pool_size=0, exhaustive_budget=1 << 16)
+    result = verify_thm4(pool_size=0)
     assert (result.outcome, result.witness) == (
         "FAIL",
         "fixed witness {abba}, word 'aaaa': nfa=False, matrix oracle=False, "
         "literal oracle=True",
     )
-
-
-THREE_WAY_FOR_ONE = (
-    "three-way agreement (nfa, matrix oracle, literal enumeration) for 1 "
-    "automata and every word of length t <= "
-)
-
-
-@pytest.mark.parametrize(
-    "budget, details",
-    [
-        (1 << 12, [THREE_WAY_FOR_ONE + "3", *THM4_DETAILS[1:3]]),
-        (1 << 16, [THREE_WAY_FOR_ONE + "4"]),
-    ],
-)
-def test_thm4_details_name_the_lengths_each_oracle_checked(budget, details):
-    # a budget that admits t = 4 for every automaton compares all three there
-    result = verify_thm4(pool_size=0, exhaustive_budget=budget)
-    assert result.outcome == "PASS"
-    assert result.details == details + THM4_DETAILS[3:]
 
 
 def test_unknown_claim_is_rejected_before_any_claim_runs(monkeypatch):

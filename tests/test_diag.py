@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 
 from aplang.automata import Dfa
 from aplang.boolmat import BoolMatrix, incidence_matrices, power_orbit
-from aplang.diag import (
-    BudgetExceededError,
-    build_diag_nfa,
-    diag_oracle_accepts,
-    diag_oracle_exhaustive,
-    diag_word,
-)
+from aplang.diag import build_diag_nfa, diag_oracle_accepts, diag_oracle_exhaustive, diag_word
 from aplang.verification import random_dfa
 
 from conftest import (
@@ -182,12 +176,10 @@ def test_exhaustive_oracle_matches_the_literal_definition():
             assert diag_oracle_exhaustive(d, t) == literal_diagonals(d, t), (d, t)
     for _ in range(4):
         d = random_dfa(rng, 4, min_symbols=2, max_symbols=2)
-        assert diag_oracle_exhaustive(d, 4, budget=1 << 16) == literal_diagonals(d, 4), d
+        assert diag_oracle_exhaustive(d, 4) == literal_diagonals(d, 4), d
 
 
-def test_exhaustive_oracle_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        diag_oracle_exhaustive(universal_dfa(), 3, budget=100)
+def test_exhaustive_oracle_rejects_t_below_one():
     with pytest.raises(ValueError):
         diag_oracle_exhaustive(universal_dfa(), 0)
 

@@ -16,7 +16,7 @@ from aplang.jsonio import (
 )
 from aplang.verification import random_dfa
 
-from conftest import ab_star_dfa, universal_dfa, zeros_then_one_dfa
+from conftest import ab_star_dfa, to_nfa, universal_dfa, zeros_then_one_dfa
 
 
 def test_dfa_round_trip_identity():
@@ -33,7 +33,7 @@ def test_nfa_round_trip_identity():
     rng = random.Random(42)
     for _ in range(6):
         d = random_dfa(rng, 4, min_symbols=2, max_symbols=2)
-        for n in (d.to_nfa(), build_diag_nfa(d)):
+        for n in (to_nfa(d), build_diag_nfa(d)):
             assert obj_to_nfa(nfa_to_obj(n)) == n
 
 
@@ -116,7 +116,7 @@ def test_state_numbers_must_be_integers(bad):
         lambda o: o["delta"]["0"].update(a=[bad]),
     )
     for breakage in nfa_breakages:
-        obj = nfa_to_obj(universal_dfa().to_nfa())
+        obj = nfa_to_obj(to_nfa(universal_dfa()))
         breakage(obj)
         with pytest.raises(ValueError):
             obj_to_nfa(obj)
@@ -149,7 +149,7 @@ def test_state_keys_must_be_canonical(key):
 def test_state_count_is_bounded():
     # the count is checked before any table is built, so nothing is allocated
     dfa = dfa_to_obj(universal_dfa())
-    nfa = nfa_to_obj(universal_dfa().to_nfa())
+    nfa = nfa_to_obj(to_nfa(universal_dfa()))
     for obj, load in ((dfa, obj_to_dfa), (nfa, obj_to_nfa)):
         obj["states"] = MAX_STATES + 1
         with pytest.raises(ValueError, match="exceeds the limit"):
