@@ -129,11 +129,9 @@ def _cmd_filter_lang(args: argparse.Namespace) -> int:
 SAMPLE_WORDS = 6
 
 
-def _sample_text(dfa, max_len: int) -> str:
-    words = dfa.enumerate_accepted(max_len, SAMPLE_WORDS)
-    if not words:
-        return "(none)"
-    return " ".join(dfa.alphabet.format(w) or "(empty)" for w in words)
+def _samples(dfa, max_len: int) -> list[str]:
+    """The first SAMPLE_WORDS accepted words, spelled out; "" is the empty word."""
+    return [dfa.alphabet.format(w) for w in dfa.enumerate_accepted(max_len, SAMPLE_WORDS)]
 
 
 def _cmd_enumerate_filtrations(args: argparse.Namespace) -> int:
@@ -149,10 +147,7 @@ def _cmd_enumerate_filtrations(args: argparse.Namespace) -> int:
                     "a": f.step,
                     "b": f.offset,
                     "states": dfa.size,
-                    "sample": [
-                        dfa.alphabet.format(w)
-                        for w in dfa.enumerate_accepted(args.max_len, SAMPLE_WORDS)
-                    ],
+                    "sample": _samples(dfa, args.max_len),
                 }
                 for f, dfa in atlas.entries
             ],
@@ -165,10 +160,8 @@ def _cmd_enumerate_filtrations(args: argparse.Namespace) -> int:
             f"offsets 0..{atlas.offset_window - 1}"
         )
         for f, dfa in atlas.entries:
-            print(
-                f"  (a={f.step}, b={f.offset})  states={dfa.size}  "
-                f"sample: {_sample_text(dfa, args.max_len)}"
-            )
+            words = " ".join(w or "(empty)" for w in _samples(dfa, args.max_len))
+            print(f"  (a={f.step}, b={f.offset})  states={dfa.size}  sample: {words or '(none)'}")
         print(f"DISTINCT LANGUAGES: {len(atlas)}")
     return 0
 

@@ -171,41 +171,30 @@ def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
     return automata.build(automata.step_half(f.step), [automata.offset_half(f.offset)])
 
 
-class _SourceWalk:
-    """The source DFA walked with concrete state sets for one step and a
-    list of offsets, the shared core of the word-level oracles; it knows
-    nothing of the matrix construction.
+_Node = tuple[frozenset[int], int]
 
-    A node stands for every filtered word that leads to it: the int i for
-    the empty word under offsets[i], otherwise the set of source states
-    the unfiltered sources of a word can end in, right after its last
-    kept letter.  The empty word's sources under offsets[i] are all
-    reached by that offset's prefix of free letters; a kept letter c
-    follows the prefix (from an int) or step-1 free letters (from a set)
-    and then reads c.  A set accepts iff fewer than step trailing free
-    letters reach an accepting state; the int i accepts iff some accepted
-    source fits inside offsets[i].  Past the first letter every node is a
-    set and its steps depend on the step alone, so the caches serve every
-    offset.
+
+class _SourceWalk:
+    """The source DFA walked with concrete state sets for one step, the
+    shared core of the word-level oracles; it knows nothing of the matrix
+    construction.
+
+    A node (states, gap) stands for every filtered word that leads to it:
+    states is the set of source states the word's unfiltered sources can
+    end in, and gap the number of free letters before the next kept
+    letter.  An offset is only a longer first gap, so the empty word
+    under offset b is the node ({start}, b).  A kept letter c follows gap
+    free letters, reads c and leaves a gap of step-1.  A node accepts iff
+    the states after some 0..gap free letters meet the accepting set; for
+    the empty word under b, iff some accepted source fits inside b.  Free
+    letters are cached per state set, shared by every node and offset.
     """
 
-    def __init__(self, d: Dfa, step: int, offsets: Sequence[int]) -> None:
+    def __init__(self, d: Dfa, step: int) -> None:
         self._delta = d.delta
         self._final = d.accepting
         self._step = step
         self._free: dict[frozenset[int], frozenset[int]] = {}
-        self._kept: dict[tuple[int | frozenset[int], int], frozenset[int]] = {}
-        self._accepts: dict[frozenset[int], bool] = {}
-        current = frozenset((d.start,))
-        eps = bool(current & self._final)
-        # prefix[b]: (the states after b free letters, whether one of them was accepting)
-        prefix = [(current, eps)]
-        for _ in range(max(offsets, default=0)):
-            current = self._free_letter(current)
-            eps = eps or bool(current & self._final)
-            prefix.append((current, eps))
-        self._entry = [prefix[b][0] for b in offsets]
-        self._eps = [prefix[b][1] for b in offsets]
 
     def _free_letter(self, states: frozenset[int]) -> frozenset[int]:
         cached = self._free.get(states)
@@ -214,34 +203,20 @@ class _SourceWalk:
             self._free[states] = cached
         return cached
 
-    def step(self, node: int | frozenset[int], c: int) -> frozenset[int]:
+    def step(self, node: _Node, c: int) -> _Node:
         """The node reached from node by the kept letter c."""
-        key = (node, c)
-        cached = self._kept.get(key)
-        if cached is None:
-            if isinstance(node, int):
-                gap = self._entry[node]
-            else:
-                gap = node
-                for _ in range(self._step - 1):
-                    gap = self._free_letter(gap)
-            cached = frozenset(self._delta[q][c] for q in gap)
-            self._kept[key] = cached
-        return cached
+        states, gap = node
+        for _ in range(gap):
+            states = self._free_letter(states)
+        return frozenset(self._delta[q][c] for q in states), self._step - 1
 
-    def accepts(self, node: int | frozenset[int]) -> bool:
-        if isinstance(node, int):
-            return self._eps[node]
-        cached = self._accepts.get(node)
-        if cached is None:
-            states = node
-            for _ in range(self._step - 1):
-                if states & self._final:
-                    break
-                states = self._free_letter(states)
-            cached = bool(states & self._final)
-            self._accepts[node] = cached
-        return cached
+    def accepts(self, node: _Node) -> bool:
+        states, gap = node
+        for _ in range(gap):
+            if states & self._final:
+                return True
+            states = self._free_letter(states)
+        return bool(states & self._final)
 
 
 def filtered_language_oracle(d: Dfa, f: ArithFilter, max_len: int) -> set[Word]:
@@ -255,13 +230,19 @@ def filtered_language_oracle(d: Dfa, f: ArithFilter, max_len: int) -> set[Word]:
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    walk = _SourceWalk(d, f.step, [f.offset])
+    walk = _SourceWalk(d, f.step)
     symbols = range(len(d.alphabet))
-    out: set[Word] = {()} if walk.accepts(0) else set()
-    level: dict[Word, int | frozenset[int]] = {(): 0}
-    for _ in range(max_len):
-        level = {w + (c,): walk.step(node, c) for w, node in level.items() for c in symbols}
-        out.update(w for w, node in level.items() if walk.accepts(node))
+    # level[node]: the words of the current length that lead to node
+    level: dict[_Node, list[Word]] = {(frozenset((d.start,)), f.offset): [()]}
+    out: set[Word] = set()
+    for length in range(max_len + 1):
+        if length:
+            nxt: dict[_Node, list[Word]] = {}
+            for node, words in level.items():
+                for c in symbols:
+                    nxt.setdefault(walk.step(node, c), []).extend(w + (c,) for w in words)
+            level = nxt
+        out.update(w for node, words in level.items() if walk.accepts(node) for w in words)
     return out
 
 
@@ -277,13 +258,16 @@ def first_disagreements(
     FilteredAutomata.build; dfa.start is not read.
 
     dfa is walked in lockstep with the oracle's source walk, from every
-    start pair (i, i) at once, each (dfa state, source node) pair once,
-    breadth first to depth max_len.  One backward search from the pairs
-    whose acceptance differs gives each pair's distance to the nearest
-    disagreement, for every start alike, and each start's witness is read
-    off greedily: stop at a disagreeing pair, else take the least letter
-    whose pair still has a disagreement within the remaining length.  The
-    cost is bounded by the reachable pairs, not by the number of words.
+    start pair (i, ({d.start}, offsets[i])) at once, each (dfa state,
+    source node) pair once, breadth first to depth max_len.  A start node
+    with offset step-1 is the node a kept letter leaves with the same
+    states; both stand for the same words, so their pairs merge soundly.
+    One backward search from the pairs whose acceptance differs gives
+    each pair's distance to the nearest disagreement, for every start
+    alike, and each start's witness is read off greedily: stop at a
+    disagreeing pair, else take the least letter whose pair still has a
+    disagreement within the remaining length.  The cost is bounded by the
+    reachable pairs, not by the number of words.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
@@ -293,9 +277,9 @@ def first_disagreements(
         raise ValueError("alphabet mismatch")
     if len(offsets) > dfa.size:
         raise ValueError(f"{len(offsets)} offsets but only {dfa.size} start nodes")
-    walk = _SourceWalk(d, step, offsets)
+    walk = _SourceWalk(d, step)
     symbols = range(len(d.alphabet))
-    starts = [(i, i) for i in range(len(offsets))]
+    starts = [(i, (frozenset((d.start,)), b)) for i, b in enumerate(offsets)]
     succ: dict[tuple, tuple[tuple, ...]] = {}
     preds: dict[tuple, list[tuple]] = {}
     seen = set(starts)

@@ -8,8 +8,9 @@ is a list and delta values are lists; omitted NFA transitions are simply
 the empty target set.  Every state number must be a JSON integer;
 true and false are rejected, although Python counts them as ints.  A
 delta key must spell its state in canonical decimal ("3", not "03",
-"+3" or "3_0"), so no two keys can name the same state.  "states" may
-be at most MAX_STATES, so a small file cannot ask for a huge table.
+"+3" or "3_0"), so no two keys can name the same state.  The table's
+cells, "states" times the alphabet's size, may be at most MAX_CELLS, so
+a small file cannot ask for a huge table.
 Top-level keys other than the format's are ignored.
 Writers always emit complete tables, so a write followed by a read
 reproduces the in-memory value exactly.
@@ -23,9 +24,9 @@ from typing import Any
 from .automata import Alphabet, Dfa, Nfa
 
 # Above the largest automata the toolkit writes and reads back (the diagonal
-# NFA of the minimal period-210 hub chain has 91 800 states), and small
-# enough that a table with this many rows fits in memory.
-MAX_STATES = 1 << 20
+# NFA of the minimal period-210 hub chain has 91 800 states over two letters),
+# and small enough that a table with this many cells fits in memory.
+MAX_CELLS = 1 << 21
 
 
 def _require(obj: dict, key: str, kind: type) -> Any:
@@ -48,10 +49,11 @@ def _require_ints(obj: dict, key: str) -> list[int]:
     return values
 
 
-def _state_count(obj: dict) -> int:
+def _state_count(obj: dict, alphabet: Alphabet) -> int:
     size = _require(obj, "states", int)
-    if size > MAX_STATES:
-        raise ValueError(f"states {size} exceeds the limit of {MAX_STATES}")
+    cells = size * len(alphabet)
+    if cells > MAX_CELLS:
+        raise ValueError(f"a table of {cells} cells exceeds the limit of {MAX_CELLS}")
     return size
 
 
@@ -91,7 +93,7 @@ def obj_to_dfa(obj: dict) -> Dfa:
     if not isinstance(obj, dict):
         raise ValueError("a DFA must be a JSON object")
     alphabet = _parse_alphabet(obj)
-    size = _state_count(obj)
+    size = _state_count(obj, alphabet)
     start = _require(obj, "start", int)
     accepting = _require_ints(obj, "accepting")
     delta_obj = _require(obj, "delta", dict)
@@ -127,7 +129,7 @@ def obj_to_nfa(obj: dict) -> Nfa:
     if not isinstance(obj, dict):
         raise ValueError("an NFA must be a JSON object")
     alphabet = _parse_alphabet(obj)
-    size = _state_count(obj)
+    size = _state_count(obj, alphabet)
     initial = _require_ints(obj, "initial")
     accepting = _require_ints(obj, "accepting")
     delta_obj = _require(obj, "delta", dict)

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
+from aplang.automata import Alphabet
 from aplang.diag import build_diag_nfa
 from aplang.jsonio import (
-    MAX_STATES,
+    MAX_CELLS,
     dfa_to_obj,
     load_dfa,
     nfa_to_obj,
@@ -147,13 +148,26 @@ def test_state_keys_must_be_canonical(key):
 
 
 def test_state_count_is_bounded():
-    # the count is checked before any table is built, so nothing is allocated
+    # the cells are counted before any table is built, so nothing is allocated
     dfa = dfa_to_obj(universal_dfa())
     nfa = nfa_to_obj(to_nfa(universal_dfa()))
     for obj, load in ((dfa, obj_to_dfa), (nfa, obj_to_nfa)):
-        obj["states"] = MAX_STATES + 1
+        obj["states"] = MAX_CELLS // 2 + 1
         with pytest.raises(ValueError, match="exceeds the limit"):
             load(obj)
+
+
+def test_table_cells_are_bounded_for_wide_alphabets(tmp_path):
+    # 2^20 rows load over two letters, but over three they make 3 * 2^20 cells
+    wide = Alphabet(("a", "b", "c"))
+    dfa = {**dfa_to_obj(universal_dfa(wide)), "states": 1 << 20}
+    nfa = {**nfa_to_obj(to_nfa(universal_dfa(wide))), "states": 1 << 20}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(dfa))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        load_dfa(str(path))
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        obj_to_nfa(nfa)
 
 
 def test_unknown_top_level_keys_are_ignored():

@@ -27,9 +27,13 @@ def test_word_oracles_share_nothing_with_the_construction():
             {
                 "BoolMatrix",
                 "FilteredAutomata",
+                "_first",
                 "build_filtered_dfa",
                 "incidence_matrices",
+                "mats",
+                "near",
                 "offset_half",
+                "orbit",
                 "power_orbit",
                 "step_half",
             },
