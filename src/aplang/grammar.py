@@ -5,9 +5,10 @@ CYK over a binary normal form, with nullable symbols and unit steps
 closed over in its tables, decides membership; bounded enumeration
 fills a table of each symbol's words by exact length over the epsilon-free
 rules, splitting a length only over the lengths at which a body's symbols
-have words.  The three built-in languages each come with a direct
-structural predicate that parses the displayed pattern with no grammar
-involved, serving as the independent oracle for every grammar-based result.
+have words, and yields the start's words one exact length at a time.
+The three built-in languages each come with a direct structural predicate
+that parses the displayed pattern with no grammar involved, serving as the
+independent oracle for every grammar-based result.
 """
 
 from __future__ import annotations
@@ -181,7 +182,16 @@ def _splits(n: int, parts: list[dict], least: list[int], i: int = 0) -> Iterator
 
 
 def enumerate_cfg_words(g: Cfg, max_len: int) -> set[str]:
-    """Exactly the generated words of length <= max_len, as strings of
+    """The union of what enumerate_cfg_words_by_length(g, max_len) yields."""
+    out: set[str] = set()
+    for _, words in enumerate_cfg_words_by_length(g, max_len):
+        out |= words
+    return out
+
+
+def enumerate_cfg_words_by_length(g: Cfg, max_len: int) -> Iterator[tuple[int, set[str]]]:
+    """(n, the generated words of length exactly n) for n = 0..max_len in
+    increasing order, empty sets included, the words as strings of
     single-character terminal tokens (longer tokens raise ValueError, as
     their joined words can be ambiguous).
 
@@ -193,8 +203,9 @@ def enumerate_cfg_words(g: Cfg, max_len: int) -> set[str]:
     shorter words over every split of n (see _splits), and the unit rules
     alone, which read length n itself, are settled by a fixpoint.  A
     symbol is filled only up to the longest of its words that fits in a
-    start word beside minimum yields, and the start's words go straight to
-    the output when no body names the start."""
+    start word beside minimum yields.  When no body names the start, its
+    words of each length leave the table as they are yielded, so a set is
+    freed once the caller drops it; otherwise the caller gets a copy."""
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     names = g.terminals.names
@@ -249,7 +260,7 @@ def enumerate_cfg_words(g: Cfg, max_len: int) -> set[str]:
     table = {nt: {} for nt in g.nonterminals} | {name: {1: {name}} for name in names}
     units = [(head, body[0]) for head, body, _ in live if len(body) == 1 and body[0] in rules]
     start_unused = all(g.start not in body for _, body, _ in live)
-    out = {""} if g.start in nullable else set()
+    yield 0, {""} if g.start in nullable else set()
     for n in range(1, max_len + 1):
         found: dict[str, set[str]] = {}
         for head, body, least in live:
@@ -268,8 +279,7 @@ def enumerate_cfg_words(g: Cfg, max_len: int) -> set[str]:
                 if new and room.get(head, 0) >= n:
                     table[head].setdefault(n, set()).update(new)
                     changed = True
-        out.update(table[g.start].pop(n, ()) if start_unused else table[g.start].get(n, ()))
-    return out
+        yield n, table[g.start].pop(n, set()) if start_unused else set(table[g.start].get(n, ()))
 
 
 # ---------------------------------------------------------------------------

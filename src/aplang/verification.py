@@ -44,6 +44,7 @@ from .grammar import (
     ZERO_N_ONE_N_GRAMMAR,
     count_thm5_by_length,
     enumerate_cfg_words,
+    enumerate_cfg_words_by_length,
     in_0n1n,
     in_thm2,
     in_thm5,
@@ -218,17 +219,18 @@ def verify_thm1(
 # thm2: the weak filtrations of {1 0^n 2 (0^+ 3)^n : n >= 1} are distinct
 
 
-def _thm2_pattern_words(max_len: int) -> set[str]:
-    """The words 1 0^n 2 (0^z 3)^n, n >= 1 and every z >= 1, of length at
-    most max_len, grown one 0^z 3 block at a time from 1 0^n 2."""
+def _thm2_pattern_words(length: int) -> set[str]:
+    """The words 1 0^m 2 (0^z 3)^m, m >= 1 and every z >= 1, of exactly the
+    given length, grown one 0^z 3 block at a time from 1 0^m 2; the last
+    block's zero run takes the letters that are left."""
     out: set[str] = set()
-    for n in range(1, (max_len - 2) // 3 + 1):
-        level = ["1" + "0" * n + "2"]
-        for blocks in range(n, 0, -1):
+    block = ["0" * z + "3" for z in range(length)]  # block[z] is 0^z 3
+    for m in range(1, (length - 2) // 3 + 1):
+        level = ["1" + "0" * m + "2"]
+        for blocks in range(m - 1, 0, -1):
             # the blocks after this one take at least two letters each
-            room = max_len - 2 * (blocks - 1)
-            level = [p + "0" * z + "3" for p in level for z in range(1, room - len(p))]
-        out.update(level)
+            level = [p + b for p in level for b in block[1 : length - 2 * blocks - len(p)]]
+        out.update(p + block[length - len(p) - 1] for p in level)
     return out
 
 
@@ -246,6 +248,9 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
     therefore FAILs with that witness; the distinctness of the filtered
     languages, which is what the sections are for, is confirmed in the
     details since the sections still differ pairwise in their longest word.
+
+    The sources are walked one exact length at a time, empty lengths
+    included; a section word's witness source is recorded when it first appears.
     """
 
     def body(result: ClaimResult) -> None:
@@ -253,13 +258,16 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
         mismatch: Optional[str] = None
         for a in step_range:
             bound = a * (a + 1)
-            words = enumerate_cfg_words(THM2_GRAMMAR, bound)
-            if not all(map(in_thm2, words)):
-                raise _Refuted(f"a={a}: grammar produced a word outside the pattern")
-            if words != _thm2_pattern_words(bound):
-                raise _Refuted(f"a={a}: grammar enumeration and pattern enumeration differ")
             f = ArithFilter(a, 0)
-            section = frozenset(filter(_is_123plus, {filter_word(s, f) for s in words}))
+            sources: dict[str, str] = {}  # section word -> its least source
+            for n, words in enumerate_cfg_words_by_length(THM2_GRAMMAR, bound):
+                if not all(map(in_thm2, words)):
+                    raise _Refuted(f"a={a}: grammar produced a word outside the pattern")
+                if words != _thm2_pattern_words(n):
+                    raise _Refuted(f"a={a}: grammar enumeration and pattern enumeration differ")
+                for x in filter(_is_123plus, {filter_word(s, f) for s in words} - sources.keys()):
+                    sources[x] = min(s for s in words if filter_word(s, f) == x)
+            section = frozenset(sources)
             sections[a] = section
             shown = "{}" if not section else "{" + ", ".join(sorted(section)) + "}"
             result.details.append(
@@ -273,11 +281,7 @@ def verify_thm2(step_range: tuple[int, ...] = (1, 2, 3, 4, 5)) -> ClaimResult:
                     mismatch += f"it lacks {min(expected)}"
                 else:
                     extra = min(section - expected, key=lambda s: (len(s), s))
-                    source = min(
-                        (s for s in words if filter_word(s, f) == extra),
-                        key=lambda s: (len(s), s),
-                    )
-                    mismatch += f"source {source} filters to {extra}"
+                    mismatch += f"source {sources[extra]} filters to {extra}"
         if len(set(sections.values())) != len(sections):
             raise _Refuted("two steps produced the same 123+ section")
         result.details.append(

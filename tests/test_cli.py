@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,18 @@ def test_thm1_and_thm2_reports_are_pinned(seed, atlas_sizes):
     assert thm2.details == THM2_DETAILS
 
 
+def test_verify_thm2_holds_one_length_of_sources_at_a_time():
+    # a=5 lists 27200 sources to length 30, at most 8641 of one length;
+    # holding them all, with the pattern's copy, peaked near 7.7 MB
+    tracemalloc.start()
+    try:
+        assert verify_thm2().outcome == "FAIL"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
 def test_thm3_report_is_pinned():
     result = verify_thm3()
     assert (result.claim, result.outcome, result.witness) == ("thm3", "PASS", None)
@@ -434,6 +447,14 @@ REFUTATIONS = [
         verify_thm2, {}, {"_thm2_pattern_words": lambda real: lambda n: set()},
         "a=2: grammar enumeration and pattern enumeration differ",
         id="thm2-enumerations-differ",
+    ),
+    pytest.param(
+        # the grammar has no word of length 4, so only a walk that compares
+        # the empty lengths too sees the extra pattern word
+        verify_thm2, {},
+        {"_thm2_pattern_words": lambda real: lambda n: real(n) | ({"1023"} if n == 4 else set())},
+        "a=2: grammar enumeration and pattern enumeration differ",
+        id="thm2-enumerations-differ-at-an-empty-length",
     ),
     pytest.param(
         # a=3 also misses its singleton; the collision witness wins

@@ -21,6 +21,7 @@ from aplang.grammar import (
     count_thm5_by_length,
     cyk_accepts,
     enumerate_cfg_words,
+    enumerate_cfg_words_by_length,
     enumerate_thm5_by_length,
     in_0n1n,
     in_thm2,
@@ -221,6 +222,19 @@ def test_enumerate_matches_cyk_on_random_grammars():
         assert words == {w for w in short if cyk_accepts(g, g.terminals.word(w))}, g
 
 
+def test_enumerate_by_length_streams_each_length_once():
+    # the grammars above: every length 0..5 once, in order, each set holding
+    # only words of its length, and together the words enumerate_cfg_words lists
+    rng = random.Random(20111)
+    for _ in range(300):
+        g = random_grammar(rng)
+        with time_limit(5):
+            stream = list(enumerate_cfg_words_by_length(g, 5))
+        assert [n for n, _ in stream] == list(range(6)), g
+        assert all(len(w) == n for n, words in stream for w in words), g
+        assert set().union(*(words for _, words in stream)) == enumerate_cfg_words(g, 5), g
+
+
 def test_enumerate_agrees_on_a_binarized_grammar():
     # THM2_GRAMMAR with wrapped terminals and two-symbol bodies: every word
     # passes through link and unit chains
@@ -263,11 +277,21 @@ def test_enumerate_fills_the_last_body_symbol_to_its_full_room():
 
 
 def test_enumerate_leaves_no_garbage_cycles():
-    # a cycle would keep the word table alive until the cyclic collector ran
+    # a cycle would keep the word table alive until the cyclic collector
+    # ran, also when a stream is dropped half-way
     gc.collect()
     gc.disable()
     try:
         enumerate_cfg_words(THM2_GRAMMAR, 30)
+        assert gc.collect() == 0
+        for _ in enumerate_cfg_words_by_length(THM2_GRAMMAR, 30):
+            pass
+        assert gc.collect() == 0
+        stream = enumerate_cfg_words_by_length(THM2_GRAMMAR, 30)
+        for n, _ in stream:
+            if n == 15:
+                break
+        del stream
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -277,20 +301,24 @@ def test_thm2_source_counts_are_pinned():
     # the sources verify thm2 lists for a = 1..5, to length a(a+1)
     counts = [len(enumerate_cfg_words(THM2_GRAMMAR, a * (a + 1))) for a in range(1, 6)]
     assert counts == [0, 2, 27, 594, 27200]
-    sizes = [len(_thm2_pattern_words(a * (a + 1))) for a in range(1, 6)]
+    sizes = [sum(len(_thm2_pattern_words(n)) for n in range(a * (a + 1) + 1)) for a in range(1, 6)]
     assert sizes == counts
-    assert enumerate_cfg_words(THM2_GRAMMAR, 30) == _thm2_pattern_words(30)
+    # and per exact length at bound 30, from the grammar and the pattern
+    per_length = [
+        0, 0, 0, 0, 0, 1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41, 60, 88, 129, 189,
+        277, 406, 595, 872, 1278, 1873, 2745, 4023, 5896, 8641,
+    ]
+    stream = enumerate_cfg_words_by_length(THM2_GRAMMAR, 30)
+    assert [(n, len(words)) for n, words in stream] == list(enumerate(per_length))
+    assert [len(_thm2_pattern_words(n)) for n in range(31)] == per_length
+    for n, words in enumerate_cfg_words_by_length(THM2_GRAMMAR, 30):
+        assert words == _thm2_pattern_words(n), n
 
 
-@pytest.mark.parametrize("max_len", range(11))
-def test_thm2_pattern_words_are_the_short_members(max_len):
-    members = {
-        "".join(t)
-        for n in range(max_len + 1)
-        for t in product("0123", repeat=n)
-        if in_thm2("".join(t))
-    }
-    assert _thm2_pattern_words(max_len) == members
+@pytest.mark.parametrize("length", range(11))
+def test_thm2_pattern_words_are_the_short_members(length):
+    members = {"".join(t) for t in product("0123", repeat=length) if in_thm2("".join(t))}
+    assert _thm2_pattern_words(length) == members
 
 
 def test_thm2_predicates_agree_with_regular_expressions():

@@ -137,7 +137,7 @@ def test_thm2_oracles_do_not_use_the_grammar():
     # verify thm2 checks the grammar's words against these oracles, so
     # neither they nor the module functions they call may name the
     # enumerator or the grammar
-    construction = {"enumerate_cfg_words", "THM2_GRAMMAR"}
+    construction = {"enumerate_cfg_words", "enumerate_cfg_words_by_length", "THM2_GRAMMAR"}
     for module, oracle, helpers in (
         ("grammar.py", "in_thm2", set()),
         ("verification.py", "_thm2_pattern_words", set()),
@@ -151,7 +151,7 @@ def test_enumerator_does_not_use_cyk():
     # CYK is the enumerator's oracle on random grammars, so the enumerator
     # and the module functions it calls may not name it or its tables
     reached, named = _reached("grammar.py", "enumerate_cfg_words")
-    assert reached == {"enumerate_cfg_words", "_splits"}
+    assert reached == {"enumerate_cfg_words", "enumerate_cfg_words_by_length", "_splits"}
     assert named & {"cyk_accepts", "_cyk_tables"} == set()
 
 
@@ -159,7 +159,7 @@ def test_cyk_does_not_use_the_enumerator():
     # the reverse guard: CYK keeps its own nullable fixpoint
     reached, named = _reached("grammar.py", "cyk_accepts")
     assert reached == {"cyk_accepts", "_cyk_tables"}
-    assert named & {"enumerate_cfg_words", "_splits"} == set()
+    assert named & {"enumerate_cfg_words", "enumerate_cfg_words_by_length", "_splits"} == set()
 
 
 def test_only_timed_reports_a_counterexample():
