@@ -15,6 +15,7 @@ from typing import Sequence, TypeVar
 
 from .automata import Dfa, Nfa, Word
 from .boolmat import incidence_matrices, power_orbit
+from .filtration import _SourceWalk
 
 W = TypeVar("W", bound=Sequence)
 
@@ -104,10 +105,12 @@ def diag_oracle_accepts(d: Dfa, w: Word) -> bool:
     """Word-level oracle: is w the diagonal of some accepted square word?
 
     No guessing involved: between consecutive diagonal letters lie exactly
-    t = len(w) free letters, so one walk of the source's state set decides
-    membership: step by each letter of w, then t times by every symbol
-    before the next letter.  That is v * M_c * M^t per letter, computed on
-    d.delta without the construction's matrices or power orbit.
+    t = len(w) free letters, so w is the (t+1, 0) filtration of the source
+    cut off right after its last kept letter.  One walk of the source's
+    state sets by _SourceWalk(d, t+1) from ({start}, 0) decides it: accept
+    iff the states after the last letter meet the accepting set.  That is
+    v * M_c * M^t per letter, computed on d.delta without the
+    construction's matrices or power orbit.
     """
     t = len(w)
     if t == 0:
@@ -115,14 +118,11 @@ def diag_oracle_accepts(d: Dfa, w: Word) -> bool:
     k = len(d.alphabet)
     if any(not 0 <= s < k for s in w):
         raise ValueError("symbol outside the alphabet")
-    delta = d.delta
-    states = {d.start}
-    for j, s in enumerate(w):
-        states = {delta[q][s] for q in states}
-        if j < t - 1:
-            for _ in range(t):
-                states = {r for q in states for r in delta[q]}
-    return not states.isdisjoint(d.accepting)
+    walk = _SourceWalk(d, t + 1)
+    node = (frozenset((d.start,)), 0)
+    for s in w:
+        node = walk.step(node, s)
+    return not node[0].isdisjoint(d.accepting)
 
 
 def diag_oracle_exhaustive(d: Dfa, t: int) -> set[Word]:

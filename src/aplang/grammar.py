@@ -524,13 +524,22 @@ def count_thm5_by_length(
     with exactly 3c+1 zeros shifts the vector; each later letter with a run
     of at least one zero adds its count to a range of end positions, as
     far as zero_end allows, through a difference array.  The member ends
-    with j at total_len - 1.  Only the vectors at block boundaries are
+    with j at total_len - 1.  The count loop stops at the first c with
+    3c+2 > room, the longest first-letter shift zero_end leaves any start
+    that has ways and that the pins allow the first letter at: every
+    larger c needs a longer shift still, so its vector is all zero and
+    the stop is exact.  Only the vectors at block boundaries are
     kept: the member is rebuilt backwards, one block at a time, from that
     block's unit vectors recomputed for the chosen c.
     """
     pinned, zero_end = _thm5_pins(total_len, diag_prefilter)
-    # a block with count c takes at least 5c symbols, the other two at least 15 each
-    block_counts = range(3, (total_len - 31) // 5 + 1)
+
+    def block_counts(ways: list[int], block: tuple[str, str, str]) -> range:
+        """The counts c >= 3 with 3c+2 <= room and 5c + 31 <= total_len (5c
+        symbols for this block, 15 for each other one, then j)."""
+        starts = (p for p in range(total_len) if ways[p] and pinned[p] in (None, block[0]))
+        room = max((zero_end[p + 1] - p for p in starts), default=0)
+        return range(3, min((total_len - 31) // 5, (room - 2) // 3) + 1)
 
     def run_letters(block: tuple[str, str, str], c: int) -> tuple[str, ...]:
         """The block's letters that take a run of at least one zero."""
@@ -566,7 +575,7 @@ def count_thm5_by_length(
     boundaries = [[1] + [0] * total_len]
     for block in _THM5_BLOCKS:
         total = [0] * (total_len + 1)
-        for c in block_counts:
+        for c in block_counts(boundaries[-1], block):
             total = [x + y for x, y in zip(total, block_end(boundaries[-1], block, c))]
         boundaries.append(total)
     end = total_len - 1
@@ -576,7 +585,7 @@ def count_thm5_by_length(
 
     pieces = ["j"]
     for block, ways in zip(reversed(_THM5_BLOCKS), reversed(boundaries[:-1])):
-        c = next(c for c in block_counts if block_end(ways, block, c)[end])
+        c = next(c for c in block_counts(ways, block) if block_end(ways, block, c)[end])
         # the vectors before each run letter: after the first letter's run,
         # then after each run letter but the last
         befores = list(unit_vectors(ways, block, c))[:-1]

@@ -605,6 +605,13 @@ def test_verify_runs_without_asserts(claim, code):
         assert "source 100200303 filters to 123" in run.stdout
 
 
+def test_verify_all_ends_with_four_passes_and_the_thm2_fail(capsys):
+    # the result line README promises; thm2's documented FAIL is the one fail
+    code, out, _ = run_cli(capsys, "verify", "all")
+    assert code == 1
+    assert out.splitlines()[-1] == "result: 4 pass, 1 fail"
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "thm3", "--format", "json")
     assert code == 0

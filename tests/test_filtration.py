@@ -369,6 +369,8 @@ def test_word_oracles_reject_negative_lengths(ab_star):
 def test_first_disagreements_reject_bad_arguments(ab_star, zeros_then_one):
     built = build_per_step(ab_star, 2, [0, 1])
     assert first_disagreements(ab_star, 2, [0, 1], built, 3) == [None, None]
+    # one offset per start node is the most allowed
+    assert len(first_disagreements(ab_star, 2, [0] * built.size, built, 3)) == built.size
     assert zeros_then_one.alphabet == ZO != ab_star.alphabet
     bad = [
         (2, [0, 1], built, -1),  # negative max_len
