@@ -96,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", choices=CLAIM_IDS + ("all",))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--deep", action="store_true", help="include the |y|=169 sweep")
-    p.add_argument(
-        "--max-len",
-        type=_length,
-        default=7,
-        help="word length thm1 checks (default 7); cost is not exponential in it",
-    )
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     return parser
@@ -186,7 +180,7 @@ def _cmd_diag_nfa(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     claims = CLAIM_IDS if args.claim == "all" else (args.claim,)
-    report = run_claims(claims, seed=args.seed, deep=args.deep, max_len=args.max_len)
+    report = run_claims(claims, seed=args.seed, deep=args.deep)
     if args.format == "json":
         print(json.dumps(report.to_json_obj(), indent=2, sort_keys=True))
     else:

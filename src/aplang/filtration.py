@@ -7,8 +7,9 @@ powers of the transition-union matrix, so any (a, b), however large,
 costs the same.  A word-level oracle recomputes filtered languages by
 direct state-set simulation of the source as given, sharing nothing
 with the matrix construction, not even the minimization; walking a built
-automaton in lockstep with that simulation finds the least word on which
-the two disagree without listing words.
+automaton in lockstep with that simulation to its fixpoint finds the
+shortlex-least word on which the two disagree, at any length, without
+listing words.
 """
 
 from __future__ import annotations
@@ -154,14 +155,14 @@ class FilteredAutomata:
             rows.append(tuple(state_of(ms.rows_or(v)) for ms in step_syms))
             i += 1
 
+        # every vector is a non-empty set, as d is complete
         n = self.source.size
-        size = starts + len(vectors)
-        if size > (1 << n) + starts:
-            raise RuntimeError(f"{size} states exceed the subset bound 2^{n} + {starts}")
+        if len(vectors) > (1 << n) - 1:
+            raise RuntimeError(f"{len(vectors)} vector states exceed the subset bound 2^{n} - 1")
         near = self.near[fold]
         accepting = {i for i, (_, eps_in) in enumerate(offset_halves) if eps_in}
         accepting.update(starts + i for i, bits in enumerate(vectors) if bits & near)
-        return Dfa(self.source.alphabet, size, 0, frozenset(accepting), tuple(rows))
+        return Dfa(self.source.alphabet, len(rows), 0, frozenset(accepting), tuple(rows))
 
 
 def build_filtered_dfa(d: Dfa, f: ArithFilter) -> Dfa:
@@ -247,30 +248,27 @@ def filtered_language_oracle(d: Dfa, f: ArithFilter, max_len: int) -> set[Word]:
 
 
 def first_disagreements(
-    d: Dfa, step: int, offsets: Sequence[int], dfa: Dfa, max_len: int
+    d: Dfa, step: int, offsets: Sequence[int], dfa: Dfa
 ) -> list[Optional[Word]]:
-    """For each offsets[i], the tuple-least word of length <= max_len that
-    dfa started at node i and the filtered language of d by (step,
-    offsets[i]) disagree on, or None if they agree on all of them; the
-    same answer as min(set(replace(dfa, start=i).enumerate_accepted(max_len))
-    ^ filtered_language_oracle(d, ArithFilter(step, offsets[i]), max_len)),
-    without listing words.  Node i is the start of offsets[i], as in
-    FilteredAutomata.build; dfa.start is not read.
+    """For each offsets[i], the shortlex-least word (shortest, then least)
+    that dfa started at node i and the filtered language of d by (step,
+    offsets[i]) disagree on, or None if the two languages are equal.  Node
+    i is the start of offsets[i], as in FilteredAutomata.build; dfa.start
+    is not read.
 
     dfa is walked in lockstep with the oracle's source walk, from every
     start pair (i, ({d.start}, offsets[i])) at once, each (dfa state,
-    source node) pair once, breadth first to depth max_len.  A start node
-    with offset step-1 is the node a kept letter leaves with the same
-    states; both stand for the same words, so their pairs merge soundly.
-    One backward search from the pairs whose acceptance differs gives
-    each pair's distance to the nearest disagreement, for every start
-    alike, and each start's witness is read off greedily: stop at a
-    disagreeing pair, else take the least letter whose pair still has a
-    disagreement within the remaining length.  The cost is bounded by the
-    reachable pairs, not by the number of words.
+    source node) pair once, until no new pair turns up.  Both sides are
+    finite, as a source node's gap is at most max(step-1, offset), so the
+    walk closes and agreement on the pairs it reached is agreement on
+    every word.  A start node with offset step-1 is the node a kept letter
+    leaves with the same states; both stand for the same words, so their
+    pairs merge soundly.  One backward search from the pairs whose
+    acceptance differs gives each pair's distance to the nearest
+    disagreement, for every start alike, and each start's witness is read
+    off greedily: take the least letter whose pair is one step nearer.
+    The cost is bounded by the reachable pairs, not by the number of words.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative")
     if step < 1 or min(offsets, default=0) < 0:
         raise ValueError("step must be at least 1 and offsets non-negative")
     if dfa.alphabet != d.alphabet:
@@ -282,23 +280,18 @@ def first_disagreements(
     starts = [(i, (frozenset((d.start,)), b)) for i, b in enumerate(offsets)]
     succ: dict[tuple, tuple[tuple, ...]] = {}
     preds: dict[tuple, list[tuple]] = {}
-    seen = set(starts)
-    layer = starts
-    for _ in range(max_len):
-        if not layer:
-            break
-        nxt = []
-        for pair in layer:
-            q, node = pair
-            succ[pair] = tuple((dfa.delta[q][c], walk.step(node, c)) for c in symbols)
-            for t in succ[pair]:
-                preds.setdefault(t, []).append(pair)
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        layer = nxt
+    todo = list(starts)
+    while todo:
+        pair = todo.pop()
+        if pair in succ:
+            continue
+        q, node = pair
+        succ[pair] = tuple((dfa.delta[q][c], walk.step(node, c)) for c in symbols)
+        for t in succ[pair]:
+            preds.setdefault(t, []).append(pair)
+            todo.append(t)
 
-    frontier = [p for p in seen if (p[0] in dfa.accepting) != walk.accepts(p[1])]
+    frontier = [p for p in succ if (p[0] in dfa.accepting) != walk.accepts(p[1])]
     dist = dict.fromkeys(frontier, 0)
     depth = 0
     while frontier:
@@ -313,13 +306,13 @@ def first_disagreements(
 
     witnesses: list[Optional[Word]] = []
     for pair in starts:
-        if dist.get(pair, max_len + 1) > max_len:
+        if pair not in dist:
             witnesses.append(None)
             continue
         word: list[int] = []
         while dist[pair]:
-            budget = max_len - len(word) - 1
-            c = next(c for c, t in enumerate(succ[pair]) if dist.get(t, budget + 1) <= budget)
+            nearer = dist[pair] - 1
+            c = next(c for c, t in enumerate(succ[pair]) if dist.get(t) == nearer)
             word.append(c)
             pair = succ[pair][c]
         witnesses.append(tuple(word))

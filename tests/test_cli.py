@@ -312,8 +312,9 @@ def test_thm1_and_thm2_reports_are_pinned(seed, atlas_sizes):
     assert (thm1.claim, thm1.outcome, thm1.witness) == ("thm1", "PASS", None)
     assert thm1.details == [
         "construction vs oracle: 50 random automata, steps 1..4, offsets "
-        "0..4, words to length 7: 1000 cells agree exactly",
-        "state bound: every construction stayed within 2^n + 1 states",
+        "0..4, every word: 1000 cells agree exactly",
+        "state bound: every construction stayed within 2^n - 1 vector states "
+        "beside its start nodes",
         "finiteness: 20 random automata, each atlas closed under a doubled "
         f"enumeration window (max distinct languages: {atlas_sizes})",
     ]
@@ -621,17 +622,24 @@ def test_verify_json_format(capsys):
     assert obj["claims"][0]["outcome"] == "PASS"
 
 
-@pytest.mark.parametrize(
-    "argv", [["verify", "all"], ["enumerate-filtrations", "no-such.json", "strong"]]
-)
-def test_negative_max_len_is_a_usage_error(capsys, argv):
-    # rejected while parsing, before any claim runs or any file is read
+def test_negative_max_len_is_a_usage_error(capsys):
+    # rejected while parsing, before any file is read
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--max-len", "-1"])
+        main(["enumerate-filtrations", "no-such.json", "strong", "--max-len", "-1"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
     assert "argument --max-len: max-len must be non-negative" in err
+
+
+def test_verify_takes_no_max_len(capsys):
+    # thm1 checks every word, so verify has no length to set
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "all", "--max-len", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "unrecognized arguments: --max-len 3" in err
 
 
 def test_verify_thm4_seed_flag(capsys):

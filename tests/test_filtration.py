@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aplang.verification
-from aplang.automata import Dfa
+from aplang.automata import Alphabet, Dfa
 from aplang.boolmat import incidence_matrices, power_orbit
 from aplang.diag import build_diag_nfa
 from aplang.filtration import (
@@ -23,7 +23,7 @@ from aplang.filtration import (
     filtered_language_oracle,
     first_disagreements,
 )
-from aplang.verification import DEFAULT_SEED, random_dfa, run_claims, verify_thm1
+from aplang.verification import DEFAULT_SEED, random_dfa, verify_thm1
 
 from conftest import (
     AB,
@@ -292,11 +292,15 @@ def test_oracle_empty_language():
 # --- the product walk ----------------------------------------------------------
 
 
-def word_set_witness(d, f, dfa, max_len):
-    """The witness by listing words: the least word in the symmetric
-    difference, or None."""
-    diff = set(dfa.enumerate_accepted(max_len)) ^ filtered_language_oracle(d, f, max_len)
-    return min(diff) if diff else None
+def word_set_difference(d, f, dfa, max_len):
+    """The words of length <= max_len that dfa and the oracle disagree on,
+    by listing both word sets."""
+    return set(dfa.enumerate_accepted(max_len)) ^ filtered_language_oracle(d, f, max_len)
+
+
+def shortlex_least(words):
+    """The shortest, then least, of words, or None if there are none."""
+    return min(words, key=lambda w: (len(w), w), default=None)
 
 
 def build_per_step(d, step, offsets):
@@ -305,22 +309,32 @@ def build_per_step(d, step, offsets):
     return automata.build(automata.step_half(step), [automata.offset_half(b) for b in offsets])
 
 
+def chain_dfa(n):
+    """a^k for every k >= n, over {a}: a chain of n + 1 states."""
+    delta = tuple((min(q + 1, n),) for q in range(n + 1))
+    return Dfa(Alphabet(("a",)), n + 1, 0, frozenset({n}), delta)
+
+
 def test_first_disagreement_matches_word_sets_on_mutants():
     rng = random.Random(31)
-    witnesses = set()
+    lengths = set()
+    reordered = 0
     for _ in range(400):
         d = random_dfa(rng, 5)
         f = ArithFilter(rng.randint(1, 4), rng.randint(0, 4))
-        max_len = rng.randint(0, 7)
+        length = rng.randint(0, 7)
         built = build_filtered_dfa(d, f)
-        assert first_disagreements(d, f.step, [f.offset], built, max_len)[0] is None
+        assert first_disagreements(d, f.step, [f.offset], built)[0] is None
+        # every state is reachable, so the flip always changes the language
         mutant = replace(built, accepting=built.accepting ^ {rng.randrange(built.size)})
-        want = word_set_witness(d, f, mutant, max_len)
-        assert first_disagreements(d, f.step, [f.offset], mutant, max_len)[0] == want
-        witnesses.add(want)
-    # both verdicts occur, and witnesses of several lengths
-    assert None in witnesses
-    assert len({len(w) for w in witnesses if w is not None}) >= 4
+        got = first_disagreements(d, f.step, [f.offset], mutant)[0]
+        diff = word_set_difference(d, f, mutant, max(length, len(got)))
+        assert got == shortlex_least(diff)
+        lengths.add(len(got))
+        reordered += got != min(diff)
+    # witnesses of several lengths, and cells where the tuple-least word differs
+    assert len(lengths) >= 4
+    assert reordered
 
 
 def test_first_disagreements_match_word_sets_per_start_on_mutants():
@@ -331,16 +345,18 @@ def test_first_disagreements_match_word_sets_per_start_on_mutants():
         d = random_dfa(rng, 5)
         step = rng.randint(1, 4)
         offsets = [rng.randint(0, 4) for _ in range(rng.randint(1, 5))]
-        max_len = rng.randint(0, 7)
+        length = rng.randint(0, 7)
         built = build_per_step(d, step, offsets)
-        assert first_disagreements(d, step, offsets, built, max_len) == [None] * len(offsets)
+        assert first_disagreements(d, step, offsets, built) == [None] * len(offsets)
         mutant = replace(built, accepting=built.accepting ^ {rng.randrange(built.size)})
-        want = [
-            word_set_witness(d, ArithFilter(step, b), replace(mutant, start=i), max_len)
-            for i, b in enumerate(offsets)
-        ]
-        assert first_disagreements(d, step, offsets, mutant, max_len) == want
-        witnesses.update(want)
+        got = first_disagreements(d, step, offsets, mutant)
+        want = []
+        for i, (b, w) in enumerate(zip(offsets, got)):
+            start_i = replace(mutant, start=i)
+            diff = word_set_difference(d, ArithFilter(step, b), start_i, max(length, len(w or ())))
+            want.append(shortlex_least(diff))
+        assert got == want
+        witnesses.update(got)
         repeated += len(set(offsets)) < len(offsets)
     # both verdicts occur, witnesses of several lengths, and repeated offsets
     assert None in witnesses
@@ -352,36 +368,58 @@ def test_first_disagreement_on_dropped_empty_word(zeros_then_one):
     # the criterion-9b mutant: the empty word is filtered in, but not built in
     f = ArithFilter(1, 2)
     built = build_filtered_dfa(zeros_then_one, f)
-    assert first_disagreements(zeros_then_one, f.step, [f.offset], built, 4)[0] is None
+    assert first_disagreements(zeros_then_one, f.step, [f.offset], built)[0] is None
     mutant = replace(built, accepting=built.accepting - {0})
-    assert first_disagreements(zeros_then_one, f.step, [f.offset], mutant, 4)[0] == ()
+    assert first_disagreements(zeros_then_one, f.step, [f.offset], mutant)[0] == ()
+
+
+def test_first_disagreement_past_length_seven():
+    # the mutant accepts nothing, so it disagrees on a^9, a^10, ... only
+    d = chain_dfa(9)
+    f = ArithFilter(1, 0)
+    built = build_filtered_dfa(d, f)
+    assert first_disagreements(d, f.step, [f.offset], built) == [None]
+    assert len(built.accepting) == 1
+    mutant = replace(built, accepting=frozenset())
+    assert word_set_difference(d, f, mutant, 8) == set()
+    assert first_disagreements(d, f.step, [f.offset], mutant) == [(0,) * 9]
+
+
+def test_first_disagreement_without_a_tuple_least_word(zeros_then_one):
+    # against the empty language the disagreements are 0^n 1, which have no
+    # tuple-least member: the least to length 7 is 0^6 1, the shortest is 1
+    f = ArithFilter(1, 0)
+    nothing = replace(build_filtered_dfa(zeros_then_one, f), accepting=frozenset())
+    assert min(word_set_difference(zeros_then_one, f, nothing, 7)) == (0,) * 6 + (1,)
+    assert first_disagreements(zeros_then_one, f.step, [f.offset], nothing) == [(1,)]
+
+
+def test_first_disagreement_at_length_2000_needs_no_recursion():
+    d = chain_dfa(2000)
+    nothing = Dfa(d.alphabet, 1, 0, frozenset(), ((0,),))
+    assert first_disagreements(d, 1, [0], nothing) == [(0,) * 2000]
 
 
 def test_word_oracles_reject_negative_lengths(ab_star):
-    f = ArithFilter(2, 1)
-    built = build_filtered_dfa(ab_star, f)
     with pytest.raises(ValueError):
-        filtered_language_oracle(ab_star, f, -1)
-    with pytest.raises(ValueError):
-        first_disagreements(ab_star, f.step, [f.offset], built, -1)
+        filtered_language_oracle(ab_star, ArithFilter(2, 1), -1)
 
 
 def test_first_disagreements_reject_bad_arguments(ab_star, zeros_then_one):
     built = build_per_step(ab_star, 2, [0, 1])
-    assert first_disagreements(ab_star, 2, [0, 1], built, 3) == [None, None]
+    assert first_disagreements(ab_star, 2, [0, 1], built) == [None, None]
     # one offset per start node is the most allowed
-    assert len(first_disagreements(ab_star, 2, [0] * built.size, built, 3)) == built.size
+    assert len(first_disagreements(ab_star, 2, [0] * built.size, built)) == built.size
     assert zeros_then_one.alphabet == ZO != ab_star.alphabet
     bad = [
-        (2, [0, 1], built, -1),  # negative max_len
-        (2, [0, 1], build_per_step(zeros_then_one, 2, [0, 1]), 3),  # alphabet mismatch
-        (2, [0] * (built.size + 1), built, 3),  # more offsets than start nodes
-        (0, [0, 1], built, 3),  # step below 1
-        (2, [0, -1], built, 3),  # negative offset
+        (2, [0, 1], build_per_step(zeros_then_one, 2, [0, 1])),  # alphabet mismatch
+        (2, [0] * (built.size + 1), built),  # more offsets than start nodes
+        (0, [0, 1], built),  # step below 1
+        (2, [0, -1], built),  # negative offset
     ]
-    for step, offsets, dfa, max_len in bad:
+    for step, offsets, dfa in bad:
         with pytest.raises(ValueError):
-            first_disagreements(ab_star, step, offsets, dfa, max_len)
+            first_disagreements(ab_star, step, offsets, dfa)
 
 
 def test_thm1_builds_once_per_automaton_and_step(monkeypatch):
@@ -425,8 +463,10 @@ def test_thm1_fails_with_the_word_set_witness(monkeypatch):
                 mutant = replace(built, accepting=built.accepting ^ {built.size - 1})
                 for b in offsets:
                     f = ArithFilter(a, b)
-                    yield i, d, f, word_set_witness(d, f, replace(mutant, start=b), 7)
+                    diff = word_set_difference(d, f, replace(mutant, start=b), 7)
+                    yield i, d, f, shortlex_least(diff)
 
+    # the witness is no longer than 7, so listing to length 7 finds it
     i, d, f, diff = next(cell for cell in cells() if cell[3] is not None)
     assert diff != ()
     assert result.witness == (
@@ -456,10 +496,41 @@ def test_thm1_finds_a_language_missing_from_the_atlas(monkeypatch, family):
     )
 
 
-def test_thm1_at_length_1000_needs_no_recursion():
-    report = run_claims(("thm1",), max_len=1000)
-    assert report.all_pass
-    assert "words to length 1000: 1000 cells agree exactly" in report.results[0].details[0]
+@pytest.mark.parametrize("half", ["step", "offset"])
+def test_thm1_probes_the_whole_doubled_window(monkeypatch, half):
+    # a bogus half for only the doubled window's last step, or last offset,
+    # which no atlas builds: a window one step or one offset short misses it
+    windows = []
+
+    def recorded(d):
+        windows.append(enumeration_window(d))
+        return windows[-1]
+
+    step_half, offset_half = FilteredAutomata.step_half, FilteredAutomata.offset_half
+
+    def last_step_half(automata, step):
+        # fold 0: no vector state accepts, so the language is {} or {e}
+        return (0, 0) if step == 2 * windows[-1][0] + 1 else step_half(automata, step)
+
+    def last_offset_half(automata, offset):
+        # the empty row with no empty word: the language is {}
+        return (0, False) if offset == 2 * windows[-1][1] - 1 else offset_half(automata, offset)
+
+    monkeypatch.setattr(aplang.verification, "enumeration_window", recorded)
+    if half == "step":
+        monkeypatch.setattr(FilteredAutomata, "step_half", last_step_half)
+    else:
+        monkeypatch.setattr(FilteredAutomata, "offset_half", last_offset_half)
+    result = verify_thm1(pool_size=0)
+    step_max, offset_bound = windows[-1]
+    if half == "step":
+        pair = f"family weak, (a={2 * step_max + 1}, b=0)"
+    else:
+        pair = f"family ordinary, (a={2 * offset_bound}, b={2 * offset_bound - 1})"
+    assert result.outcome == "FAIL"
+    assert result.witness == (
+        f"automaton {len(windows) - 1}, {pair}: language missing from the atlas"
+    )
 
 
 def test_thm1_without_a_finiteness_pool():
@@ -479,6 +550,28 @@ def test_huge_parameters_stay_cheap(ab_star):
 
 
 # --- the atlas ---------------------------------------------------------------
+
+
+def test_vector_states_stay_within_the_subset_bound():
+    # every vector state is a non-empty set of source states: a 1-state
+    # source reaches exactly 2^1 - 1 = 1 of them, and larger ones reach
+    # the bound without passing it
+    for one in (universal_dfa(), empty_dfa()):
+        automata = FilteredAutomata(one)
+        for a in (1, 2, 7):
+            halves = [automata.offset_half(b) for b in (0, 3)]
+            assert automata.build(automata.step_half(a), halves).size == len(halves) + 1
+    rng = random.Random(27)
+    exact = 0
+    for _ in range(40):
+        automata = FilteredAutomata(random_dfa(rng, 4))
+        bound = (1 << automata.source.size) - 1
+        halves = [automata.offset_half(b) for b in range(5)]
+        for a in range(1, 5):
+            vectors = automata.build(automata.step_half(a), halves).size - len(halves)
+            assert vectors <= bound
+            exact += vectors == bound
+    assert exact
 
 
 def test_atlas_universal_single_entry():

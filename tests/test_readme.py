@@ -1,10 +1,13 @@
-"""The README's library tour runs against the package as it is."""
+"""The README's library tour and command lines run against the package as it is."""
 
 import ast
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from aplang.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,3 +37,20 @@ def test_library_tour_runs_and_shows_what_it_says():
     ]
     assert len(walks) == 1
     assert eval(compile(ast.Expression(walks[0]), str(README), "eval"), namespace) == [None]
+
+
+def test_command_line_examples_parse():
+    # a flag the parser dropped cannot linger in the documented commands
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    match = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert match, "no sh block under ## Command line"
+    commands = [
+        shlex.split(line, comments=True)
+        for line in match.group(1).splitlines()
+        if line.startswith("aplang ")
+    ]
+    assert len(commands) == 10
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
