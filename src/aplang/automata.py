@@ -9,7 +9,6 @@ minimized forms compare equal.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -93,7 +92,11 @@ class Dfa:
         transitions: Mapping[tuple[int, int], int],
     ) -> "Dfa":
         """Build from a possibly partial table; missing transitions go to an
-        implicit dead state appended as index `size`."""
+        implicit dead state appended as index `size`.  start and accepting
+        must name given states, never the dead one."""
+        accepting = frozenset(accepting)
+        if not 0 <= start < size or not all(0 <= q < size for q in accepting):
+            raise ValueError("start or accepting state out of range")
         k = len(alphabet)
         for (q, c), t in transitions.items():
             if not (0 <= q < size and 0 <= c < k and 0 <= t < size):
@@ -107,7 +110,7 @@ class Dfa:
                 rows.append(tuple(dead for _ in range(k)))
             else:
                 rows.append(tuple(transitions.get((q, c), dead) for c in range(k)))
-        return cls(alphabet, total, start, frozenset(accepting), tuple(rows))
+        return cls(alphabet, total, start, accepting, tuple(rows))
 
     def accepts(self, word: Word) -> bool:
         _check_word(self.alphabet, word)
@@ -115,23 +118,6 @@ class Dfa:
         for s in word:
             q = self.delta[q][s]
         return q in self.accepting
-
-    def shortest_word_length(self) -> Optional[int]:
-        """Length of a shortest accepted word by breadth-first search, or
-        None when the language is empty."""
-        if self.start in self.accepting:
-            return 0
-        dist = {self.start: 0}
-        queue = deque([self.start])
-        while queue:
-            q = queue.popleft()
-            for t in self.delta[q]:
-                if t not in dist:
-                    dist[t] = dist[q] + 1
-                    if t in self.accepting:
-                        return dist[t]
-                    queue.append(t)
-        return None
 
     def enumerate_accepted(self, max_len: int, limit: Optional[int] = None) -> list[Word]:
         """The accepted words of length <= max_len in length-then-lexicographic

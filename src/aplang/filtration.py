@@ -101,7 +101,6 @@ class FilteredAutomata:
         self.source = d = d.minimized()
         self.mats, m = incidence_matrices(d)
         self.orbit = power_orbit(m)
-        self.shortest = d.shortest_word_length()
         final = sum(1 << q for q in d.accepting)
         # near[fold]: the states from which fewer than fold free letters reach acceptance
         self.near = [0]
@@ -115,8 +114,10 @@ class FilteredAutomata:
         return self.orbit.reduce(step - 1), min(step, len(self.orbit.powers))
 
     def offset_half(self, offset: int) -> tuple[int, bool]:
-        row = self.orbit.power(offset).rows[self.source.start]
-        return row, self.shortest is not None and self.shortest <= offset
+        # the empty word is in iff an accepted word has at most offset letters;
+        # near ends at len(powers), as no shortest accepted word is that long
+        start, near = self.source.start, self.near[min(offset + 1, len(self.near) - 1)]
+        return self.orbit.power(offset).rows[start], bool(near >> start & 1)
 
     def build(
         self, step_half: tuple[int, int], offset_halves: Sequence[tuple[int, bool]]
@@ -344,7 +345,10 @@ def enumeration_window(d: Dfa) -> tuple[int, int]:
     minimal DFA, which FilteredAutomata builds on.
 
     Let M's orbit have index i and period p, D = i + p = len(powers), and
-    lmin the shortest accepted length (0 for the empty language).
+    lmin the shortest accepted length (0 for the empty language), read off
+    the orbit as the least k < D whose M^k has a start row that meets the
+    accepting set.  No shortest word is longer: one of length L >= D has
+    M^L = M^(L-p), as L-p >= i, so some accepted word has length L-p.
 
     - Step half (stride position, fold): for a >= D the fold is
       min(a, D) = D and a-1 >= i, so reduce(a-1) = i + (a-1-i) mod p; the
@@ -368,8 +372,8 @@ def enumeration_window(d: Dfa) -> tuple[int, int]:
     """
     _, m = incidence_matrices(d)
     orbit = power_orbit(m)
-    shortest = d.shortest_word_length()
-    lmin = 0 if shortest is None else shortest
+    final = sum(1 << q for q in d.accepting)
+    lmin = next((k for k, p in enumerate(orbit.powers) if p.rows[d.start] & final), 0)
     offset_bound = max(orbit.index, lmin) + orbit.period
     return offset_bound + orbit.period - 1, offset_bound
 

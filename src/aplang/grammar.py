@@ -28,21 +28,20 @@ Rhs = tuple[str, ...]
 class Cfg:
     """Context-free grammar over string tokens.
 
-    rules holds one entry per nonterminal, in nonterminal declaration
-    order, so structurally equal grammars compare equal and hash equal.
+    productions lists the rules (head, body); make orders them by head in
+    nonterminal declaration order, so grammars built from the same rules
+    compare equal and hash equal, whatever the order of the mapping.
     """
 
     terminals: Alphabet
     nonterminals: tuple[str, ...]
     start: str
-    rules: tuple[tuple[str, tuple[Rhs, ...]], ...]
+    productions: tuple[tuple[str, Rhs], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nonterminals", tuple(self.nonterminals))
         object.__setattr__(
-            self,
-            "rules",
-            tuple((lhs, tuple(tuple(r) for r in rhss)) for lhs, rhss in self.rules),
+            self, "productions", tuple((lhs, tuple(rhs)) for lhs, rhs in self.productions)
         )
         nts = set(self.nonterminals)
         if len(nts) != len(self.nonterminals):
@@ -52,13 +51,12 @@ class Cfg:
         terms = set(self.terminals.names)
         if nts & terms:
             raise ValueError("terminal and nonterminal names overlap")
-        if tuple(lhs for lhs, _ in self.rules) != self.nonterminals:
-            raise ValueError("rules must list every nonterminal once, in order")
-        for _, rhss in self.rules:
-            for rhs in rhss:
-                for sym in rhs:
-                    if sym not in nts and sym not in terms:
-                        raise ValueError(f"undeclared symbol {sym!r} in a rule")
+        for lhs, rhs in self.productions:
+            if lhs not in nts:
+                raise ValueError(f"rule head {lhs!r} is not a declared nonterminal")
+            for sym in rhs:
+                if sym not in nts and sym not in terms:
+                    raise ValueError(f"undeclared symbol {sym!r} in a rule")
 
     @classmethod
     def make(
@@ -71,16 +69,8 @@ class Cfg:
         for lhs in rules:
             if lhs not in nonterminals:
                 raise ValueError(f"rule head {lhs!r} is not a declared nonterminal")
-        grouped = tuple(
-            (nt, tuple(tuple(r) for r in rules.get(nt, ())))
-            for nt in nonterminals
-        )
-        return cls(terminals, tuple(nonterminals), start, grouped)
-
-    def productions(self) -> Iterator[tuple[str, Rhs]]:
-        for lhs, rhss in self.rules:
-            for rhs in rhss:
-                yield lhs, rhs
+        productions = tuple((nt, tuple(rhs)) for nt in nonterminals for rhs in rules.get(nt, ()))
+        return cls(terminals, tuple(nonterminals), start, productions)
 
 
 # A few grammars are in use at a time; the bound caps long-lived processes.
@@ -98,7 +88,7 @@ def _cyk_tables(g: Cfg) -> tuple[list, dict, int, bool]:
     steps.  The last two entries are the start's id and whether the start
     is nullable."""
     rules: list[tuple] = []
-    for head, body in g.productions():
+    for head, body in g.productions:
         while len(body) > 2:
             rules.append((head, (body[0], body[1:])))
             head = body = body[1:]
@@ -215,13 +205,13 @@ def enumerate_cfg_words_by_length(g: Cfg, max_len: int) -> Iterator[tuple[int, s
     changed = True
     while changed:
         changed = False
-        for lhs, rhs in g.productions():
+        for lhs, rhs in g.productions:
             if lhs not in nullable and all(sym in nullable for sym in rhs):
                 nullable.add(lhs)
                 changed = True
     # dicts keep the rule order and drop repeated right-hand sides
     rules: dict[str, dict[Rhs, None]] = {nt: {} for nt in g.nonterminals}
-    for lhs, rhs in g.productions():
+    for lhs, rhs in g.productions:
         options = [(sym, None) if sym in nullable else (sym,) for sym in rhs]
         bodies = (tuple(s for s in body if s is not None) for body in product(*options))
         rules[lhs].update(dict.fromkeys(filter(None, bodies)))

@@ -5,12 +5,14 @@ DFA: {"alphabet": ["a","b"], "states": 3, "start": 0, "accepting": [0],
 Transitions omitted from a DFA go to an implicit dead state appended as
 state index `states`.  The NFA format is identical except that "initial"
 is a list and delta values are lists; omitted NFA transitions are simply
-the empty target set.  Every state number must be a JSON integer;
-true and false are rejected, although Python counts them as ints.  A
-delta key must spell its state in canonical decimal ("3", not "03",
-"+3" or "3_0"), so no two keys can name the same state.  The table's
-cells, "states" times the alphabet's size, may be at most MAX_CELLS, so
-a small file cannot ask for a huge table.
+the empty target set.  In both formats the delta keys, "start" or
+"initial", and "accepting" must name states below "states", so a file
+cannot make the dead state accept.  Every state number must be a JSON
+integer; true and false are rejected, although Python counts them as
+ints.  A delta key must spell its state in canonical decimal ("3", not
+"03", "+3" or "3_0"), so no two keys can name the same state.  The
+table's cells, "states" times the alphabet's size, may be at most
+MAX_CELLS, so a small file cannot ask for a huge table.
 Top-level keys other than the format's are ignored.
 Writers always emit complete tables, so a write followed by a read
 reproduces the in-memory value exactly.
@@ -19,7 +21,7 @@ reproduces the in-memory value exactly.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from .automata import Alphabet, Dfa, Nfa
 
@@ -49,26 +51,6 @@ def _require_ints(obj: dict, key: str) -> list[int]:
     return values
 
 
-def _state_count(obj: dict, alphabet: Alphabet) -> int:
-    size = _require(obj, "states", int)
-    cells = size * len(alphabet)
-    if cells > MAX_CELLS:
-        raise ValueError(f"a table of {cells} cells exceeds the limit of {MAX_CELLS}")
-    return size
-
-
-def _state_number(key: str) -> int:
-    """A delta key's state number; only the canonical decimal spelling
-    str(q) is accepted, so no two keys can name the same state."""
-    try:
-        q = int(key)
-    except ValueError:
-        q = None
-    if q is None or str(q) != key:
-        raise ValueError(f"state key {key!r} is not a canonical decimal integer")
-    return q
-
-
 def _parse_alphabet(obj: dict) -> Alphabet:
     names = _require(obj, "alphabet", list)
     if not all(isinstance(t, str) for t in names):
@@ -76,82 +58,84 @@ def _parse_alphabet(obj: dict) -> Alphabet:
     return Alphabet(tuple(names))
 
 
-def dfa_to_obj(d: Dfa) -> dict:
-    return {
-        "alphabet": list(d.alphabet.names),
-        "states": d.size,
-        "start": d.start,
-        "accepting": sorted(d.accepting),
-        "delta": {
-            str(q): {d.alphabet.names[c]: d.delta[q][c] for c in range(len(d.alphabet))}
-            for q in range(d.size)
-        },
-    }
-
-
-def obj_to_dfa(obj: dict) -> Dfa:
+def _header(obj: Any, kind: str) -> tuple[Alphabet, int]:
+    """The alphabet and state count, the table's cells bounded up front."""
     if not isinstance(obj, dict):
-        raise ValueError("a DFA must be a JSON object")
+        raise ValueError(f"{kind} must be a JSON object")
     alphabet = _parse_alphabet(obj)
-    size = _state_count(obj, alphabet)
-    start = _require(obj, "start", int)
-    accepting = _require_ints(obj, "accepting")
-    delta_obj = _require(obj, "delta", dict)
-    transitions: dict[tuple[int, int], int] = {}
-    for state_key, row in delta_obj.items():
-        q = _state_number(state_key)
-        if not isinstance(row, dict):
-            raise ValueError("delta rows must be objects")
-        for token, target in row.items():
-            if not _is_int(target):
-                raise ValueError("transition targets must be integers")
-            transitions[(q, alphabet.index(token))] = target
-    return Dfa.build(alphabet, size, start, accepting, transitions)
+    size = _require(obj, "states", int)
+    cells = size * len(alphabet)
+    if cells > MAX_CELLS:
+        raise ValueError(f"a table of {cells} cells exceeds the limit of {MAX_CELLS}")
+    return alphabet, size
 
 
-def nfa_to_obj(n: Nfa) -> dict:
-    return {
-        "alphabet": list(n.alphabet.names),
-        "states": n.size,
-        "initial": sorted(n.initial),
-        "accepting": sorted(n.accepting),
-        "delta": {
-            str(q): {
-                n.alphabet.names[c]: sorted(n.delta[q][c])
-                for c in range(len(n.alphabet))
-            }
-            for q in range(n.size)
-        },
-    }
-
-
-def obj_to_nfa(obj: dict) -> Nfa:
-    if not isinstance(obj, dict):
-        raise ValueError("an NFA must be a JSON object")
-    alphabet = _parse_alphabet(obj)
-    size = _state_count(obj, alphabet)
-    initial = _require_ints(obj, "initial")
-    accepting = _require_ints(obj, "accepting")
-    delta_obj = _require(obj, "delta", dict)
-    k = len(alphabet)
-    rows = [[frozenset() for _ in range(k)] for _ in range(size)]
-    for state_key, row in delta_obj.items():
-        q = _state_number(state_key)
+def _cells(obj: dict, alphabet: Alphabet, size: int) -> Iterator[tuple[int, int, Any]]:
+    """(state, symbol, value) for each cell the delta object lists.  A key
+    must spell a state below size in canonical decimal, str(q), so no two
+    keys can name the same state."""
+    for key, row in _require(obj, "delta", dict).items():
+        try:
+            q = int(key)
+        except ValueError:
+            q = None
+        if q is None or str(q) != key:
+            raise ValueError(f"state key {key!r} is not a canonical decimal integer")
         if not 0 <= q < size:
             raise ValueError(f"state {q} out of range")
         if not isinstance(row, dict):
             raise ValueError("delta rows must be objects")
-        for token, targets in row.items():
-            if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
-                raise ValueError("NFA transition targets must be lists of integers")
-            rows[q][alphabet.index(token)] = frozenset(targets)
-    return Nfa(
-        alphabet,
-        size,
-        frozenset(initial),
-        frozenset(accepting),
-        tuple(tuple(row) for row in rows),
-    )
+        for token, value in row.items():
+            yield q, alphabet.index(token), value
+
+
+def _to_obj(a: Dfa | Nfa, entry: str, first: Any, cell: Callable[[Any], Any]) -> dict:
+    """The complete table of a, entry naming its start field."""
+    names = a.alphabet.names
+    return {
+        "alphabet": list(names),
+        "states": a.size,
+        entry: first,
+        "accepting": sorted(a.accepting),
+        "delta": {
+            str(q): {name: cell(t) for name, t in zip(names, row)}
+            for q, row in enumerate(a.delta)
+        },
+    }
+
+
+def dfa_to_obj(d: Dfa) -> dict:
+    return _to_obj(d, "start", d.start, int)
+
+
+def obj_to_dfa(obj: dict) -> Dfa:
+    alphabet, size = _header(obj, "a DFA")
+    start = _require(obj, "start", int)
+    accepting = _require_ints(obj, "accepting")
+    transitions: dict[tuple[int, int], int] = {}
+    for q, c, target in _cells(obj, alphabet, size):
+        if not _is_int(target):
+            raise ValueError("transition targets must be integers")
+        transitions[(q, c)] = target
+    return Dfa.build(alphabet, size, start, accepting, transitions)
+
+
+def nfa_to_obj(n: Nfa) -> dict:
+    return _to_obj(n, "initial", sorted(n.initial), sorted)
+
+
+def obj_to_nfa(obj: dict) -> Nfa:
+    alphabet, size = _header(obj, "an NFA")
+    initial = _require_ints(obj, "initial")
+    accepting = _require_ints(obj, "accepting")
+    transitions: dict[tuple[int, int], frozenset[int]] = {}
+    for q, c, targets in _cells(obj, alphabet, size):
+        if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
+            raise ValueError("NFA transition targets must be lists of integers")
+        transitions[(q, c)] = frozenset(targets)
+    symbols = range(len(alphabet))
+    rows = (tuple(transitions.get((q, c), frozenset()) for c in symbols) for q in range(size))
+    return Nfa(alphabet, size, initial, accepting, tuple(rows))
 
 
 def _load_json(path: str) -> Any:
@@ -166,14 +150,15 @@ def load_dfa(path: str) -> Dfa:
     return obj_to_dfa(_load_json(path))
 
 
-def save_dfa(d: Dfa, path: str) -> None:
+def _save(obj: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dfa_to_obj(d), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_dfa(d: Dfa, path: str) -> None:
+    _save(dfa_to_obj(d), path)
 
 
 def save_nfa(n: Nfa, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(nfa_to_obj(n), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    _save(nfa_to_obj(n), path)

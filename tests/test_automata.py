@@ -74,7 +74,7 @@ def test_determinize_round_trip(ab_star):
 
 def test_determinize_no_accepting_states():
     n = Nfa(AB, 2, frozenset({0}), frozenset(), ((frozenset({1}), frozenset({1})), (frozenset({1}), frozenset({1}))))
-    assert n.determinize().shortest_word_length() is None
+    assert n.determinize().minimized().accepting == frozenset()
 
 
 def test_determinize_sigma_star_a():
@@ -238,7 +238,7 @@ def test_equivalent_alphabet_mismatch():
         equivalent(ab_star_dfa(), twos_dfa())
 
 
-# --- enumeration and shortest words ----------------------------------------
+# --- enumeration -----------------------------------------------------------
 
 
 def test_enumerate_accepted_ab_star(ab_star):
@@ -291,13 +291,6 @@ def test_enumerate_accepted_limit_costs_only_the_words_listed():
     assert long_word.enumerate_accepted(1000, 6) == [AB.word("ab" * 30)]
 
 
-def test_shortest_word_length(ab_star, zeros_then_one):
-    assert ab_star.shortest_word_length() == 0
-    assert zeros_then_one.shortest_word_length() == 1
-    assert empty_dfa().shortest_word_length() is None
-    assert single_word_dfa("abba", AB).shortest_word_length() == 4
-
-
 # --- construction and validation --------------------------------------------
 
 
@@ -310,6 +303,23 @@ def test_build_completes_with_dead_state():
 def test_build_complete_table_adds_nothing():
     d = Dfa.build(AB, 1, 0, [0], {(0, 0): 0, (0, 1): 0})
     assert d.size == 1
+
+
+@pytest.mark.parametrize("start, accepting", [(0, [1]), (1, [0])], ids=["accepting", "start"])
+def test_build_rejects_the_implicit_dead_state(start, accepting):
+    # a partial table gains its dead state as index `size`, here 1: naming
+    # it would make the "dead" state accept (b and baa) or start there
+    with pytest.raises(ValueError, match="out of range"):
+        Dfa.build(AB, 1, start, accepting, {(0, 0): 0})
+    # a complete table gains no state, so index 1 is out of range there too
+    with pytest.raises(ValueError, match="out of range"):
+        Dfa.build(AB, 1, start, accepting, {(0, 0): 0, (0, 1): 0})
+
+
+def test_build_reads_accepting_once():
+    d = Dfa.build(AB, 2, 0, iter([1]), {(0, 0): 1})
+    assert d.accepting == frozenset({1})
+    assert d.accepts(AB.word("a")) and not d.accepts(AB.word("b"))
 
 
 def test_dfa_validation():

@@ -155,6 +155,17 @@ def test_aliased_state_keys_exit_2(tmp_path, capsys):
     assert err == "error: state key '00' is not a canonical decimal integer\n"
 
 
+def test_accepting_dead_state_exits_2(tmp_path, capsys):
+    # index 1 is the dead state the partial table gains, which must not accept
+    obj = {"alphabet": ["a", "b"], "states": 1, "start": 0, "accepting": [1],
+           "delta": {"0": {"a": 0}}}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "filter-lang", str(bad), "1", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: start or accepting state out of range\n"
+
+
 def test_filter_lang_missing_file_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "filter-lang", str(tmp_path / "nope.json"), "2", "0")
     assert code == 3

@@ -34,6 +34,7 @@ from conftest import (
     equivalent,
     hub_chain_dfa,
     padded_copy,
+    single_word_dfa,
     universal_dfa,
     zeros_then_one_dfa,
 )
@@ -143,6 +144,33 @@ def test_signature_periodic_in_offset():
             big = b_bound + extra
             reduced = b_bound - period + (big - (b_bound - period)) % period
             assert automata.offset_half(big) == automata.offset_half(reduced)
+
+
+# a 5-cycle accepting after 4 letters has orbit index 0, so its lmin
+# alone sets the offset bound
+CYCLE_5 = Dfa(AB, 5, 0, frozenset({4}), ((1, 1), (2, 2), (3, 3), (4, 4), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "d, lmin",
+    [
+        (ab_star_dfa(), 0),
+        (zeros_then_one_dfa(), 1),
+        (single_word_dfa("abba", AB), 4),
+        (CYCLE_5, 4),
+        (empty_dfa(), None),
+    ],
+    ids=["ab_star", "zeros_then_one", "abba", "cycle_5", "empty"],
+)
+def test_offset_half_reads_the_shortest_length_off_the_orbit(d, lmin):
+    automata = FilteredAutomata(d)
+    orbit = automata.orbit
+    # offsets run past len(powers), where the index into near saturates
+    offsets = range(len(orbit.powers) + 4)
+    bits = [automata.offset_half(b)[1] for b in offsets]
+    assert bits == [lmin is not None and b >= lmin for b in offsets]
+    offset_bound = max(orbit.index, lmin or 0) + orbit.period
+    assert enumeration_window(automata.source) == (offset_bound + orbit.period - 1, offset_bound)
 
 
 def test_signature_soundness_within_window():
@@ -583,7 +611,7 @@ def test_atlas_universal_single_entry():
 def test_atlas_empty_language_single_entry():
     atlas = enumerate_distinct_filtrations(empty_dfa(), FilterFamily.STRONG)
     assert len(atlas) == 1
-    assert atlas.entries[0][1].shortest_word_length() is None
+    assert atlas.entries[0][1].accepting == frozenset()  # entries are minimal
 
 
 def test_atlas_shift_family_of_ab_star(ab_star):

@@ -44,6 +44,21 @@ def test_cfg_validation():
         Cfg.make(ab, ("a",), "a", {"a": []})  # name collision
     with pytest.raises(ValueError):
         Cfg.make(ab, ("S",), "S", {"Q": [("a",)]})  # rule for unknown head
+    with pytest.raises(ValueError):
+        Cfg.make(ab, ("S",), "S", {"S": [("a",)], "Q": []})  # unknown head, no rules
+    with pytest.raises(ValueError):
+        Cfg(ab, ("S",), "S", (("Q", ("a",)),))  # unknown head, built directly
+
+
+def test_cfg_make_ignores_the_mapping_order():
+    # _cyk_tables is cached on the grammar's hash, so the same rules must
+    # give equal, equally hashing grammars in any mapping order
+    ab = Alphabet(("a", "b"))
+    rules = {"S": [("A", "B")], "A": [("a",), ()], "B": [("b",)]}
+    forward = Cfg.make(ab, ("S", "A", "B"), "S", rules)
+    backward = Cfg.make(ab, ("S", "A", "B"), "S", dict(reversed(rules.items())))
+    assert forward == backward and hash(forward) == hash(backward)
+    assert forward.productions == (("S", ("A", "B")), ("A", ("a",)), ("A", ()), ("B", ("b",)))
 
 
 # --- CYK -------------------------------------------------------------------------

@@ -147,6 +147,18 @@ def test_state_keys_must_be_canonical(key):
         obj_to_nfa(nfa)
 
 
+@pytest.mark.parametrize(
+    "obj, load",
+    [(dfa_to_obj(universal_dfa()), obj_to_dfa), (nfa_to_obj(to_nfa(universal_dfa())), obj_to_nfa)],
+    ids=["dfa", "nfa"],
+)
+def test_delta_keys_must_name_states(obj, load):
+    # an empty row names no cell, but its key must still be a state
+    obj = {**obj, "delta": {**obj["delta"], "99": {}}}
+    with pytest.raises(ValueError, match="state 99 out of range"):
+        load(obj)
+
+
 def test_state_count_is_bounded():
     # the cells are counted before any table is built, so nothing is allocated
     dfa = dfa_to_obj(universal_dfa())
