@@ -18,7 +18,7 @@ from .filtration import (
     ArithFilter,
     FilterFamily,
     build_filtered_dfa,
-    enumerate_distinct_filtrations,
+    enumerate_atlases,
     filter_word,
 )
 from .jsonio import dfa_to_obj, load_dfa, nfa_to_obj, save_dfa, save_nfa
@@ -130,7 +130,7 @@ def _samples(dfa, max_len: int) -> list[str]:
 
 def _cmd_enumerate_filtrations(args: argparse.Namespace) -> int:
     d = load_dfa(args.dfa_file)
-    atlas = enumerate_distinct_filtrations(d, FilterFamily(args.family))
+    (atlas,) = enumerate_atlases(d, [FilterFamily(args.family)])
     if args.format == "json":
         obj = {
             "family": atlas.family.value,

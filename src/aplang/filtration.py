@@ -378,16 +378,16 @@ def enumeration_window(d: Dfa) -> tuple[int, int]:
     return offset_bound + orbit.period - 1, offset_bound
 
 
-def enumerate_distinct_filtrations(d: Dfa, family: FilterFamily) -> FiltrationAtlas:
-    """The distinct filtered languages of every family member inside the
-    enumeration window, each keyed by its lexicographically first pair.
+def enumerate_atlases(d: Dfa, families: Sequence[FilterFamily]) -> tuple[FiltrationAtlas, ...]:
+    """One atlas per family, in the order given: the distinct filtered
+    languages of its members in the window, keyed by each one's first pair.
 
-    Each distinct step half gets one automaton, with a start node per
-    offset half its family members need.  One Moore refinement over it
-    gives every node's language class, and each start class's canonical
-    DFA is read off once.  A last pass over the window's (step, offset)
-    pairs in lexicographic order looks up each pair's language and keeps
-    the first pair per language, stopping once every language has one.
+    Each distinct step half any family uses gets one automaton, with a
+    start node per offset half those families need there.  One Moore
+    refinement over it gives every node's language class, and each start
+    class's canonical DFA is read off once, for every family.  A last pass
+    per family over its pairs in lexicographic order keeps the first pair
+    per language, stopping once every language of the family has one.
     """
     automata = FilteredAutomata(d)
     step_max, offset_bound = enumeration_window(automata.source)
@@ -397,21 +397,22 @@ def enumerate_distinct_filtrations(d: Dfa, family: FilterFamily) -> FiltrationAt
         for b in range(offset_bound)
     ]
     offset_halves = list(offset_ids)
-    step_halves = {
-        a: automata.step_half(a)
-        for a in range(1, step_max + 1)
-        if family.offsets(a, offset_bound)
-    }
-    # the offset half ids each step half's family members need, in first-use order
-    needed: dict[tuple[int, int], dict[int, None]] = {}
-    for a, half in step_halves.items():
-        wanted = needed.setdefault(half, {})
-        wanted.update(dict.fromkeys(offset_id[b] for b in family.offsets(a, offset_bound)))
+    step_halves = {a: automata.step_half(a) for a in range(1, step_max + 1)}
+    # uses[k][step half]: the offset half ids families[k] needs there, in first-use order
+    uses: list[dict[tuple[int, int], dict[int, None]]] = []
+    for family in families:
+        use: dict[tuple[int, int], dict[int, None]] = {}
+        for a, half in step_halves.items():
+            if offsets := family.offsets(a, offset_bound):
+                use.setdefault(half, {}).update(dict.fromkeys(offset_id[b] for b in offsets))
+        uses.append(use)
 
     forms: dict[Dfa, int] = {}
     # language[step half][offset half id]: the id of the pair's language
     language: dict[tuple[int, int], dict[int, int]] = {}
-    for half, wanted in needed.items():
+    for half in dict.fromkeys(h for use in uses for h in use):
+        # the offset half ids every family needs at this step half, first use first
+        wanted = dict.fromkeys(o for use in uses for o in use.get(half, ()))
         graph = automata.build(half, [offset_halves[o] for o in wanted])
         classes = graph.language_classes(range(graph.size))
         by_class: dict[int, int] = {}
@@ -422,15 +423,16 @@ def enumerate_distinct_filtrations(d: Dfa, family: FilterFamily) -> FiltrationAt
                 by_class[c] = forms.setdefault(graph.canonical_from(classes, node), len(forms))
             ids[o] = by_class[c]
 
-    first: dict[int, tuple[int, int]] = {}
-    for a, half in step_halves.items():
-        ids = language[half]
-        for b in family.offsets(a, offset_bound):
-            lang = ids[offset_id[b]]
-            if lang not in first:
-                first[lang] = (a, b)
-        if len(first) == len(forms):
-            break
     canon = list(forms)
-    entries = tuple((ArithFilter(a, b), canon[lang]) for lang, (a, b) in first.items())
-    return FiltrationAtlas(family, entries, step_max, offset_bound)
+    atlases = []
+    for family, use in zip(families, uses):
+        total = len({language[half][o] for half, wanted in use.items() for o in wanted})
+        first: dict[int, tuple[int, int]] = {}
+        for a, half in step_halves.items():
+            for b in family.offsets(a, offset_bound):
+                first.setdefault(language[half][offset_id[b]], (a, b))
+            if len(first) == total:
+                break
+        entries = tuple((ArithFilter(a, b), canon[lang]) for lang, (a, b) in first.items())
+        atlases.append(FiltrationAtlas(family, entries, step_max, offset_bound))
+    return tuple(atlases)

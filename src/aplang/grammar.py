@@ -13,6 +13,7 @@ independent oracle for every grammar-based result.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
@@ -290,21 +291,14 @@ THM2_GRAMMAR = Cfg.make(
 )
 
 
+_THM2_SHAPE = re.compile(r"1(0+)2(?:0+3)+")
+
+
 def in_thm2(s: str) -> bool:
-    """Structural parse of 1 0^n 2 (0^+ 3)^n with n >= 1: n is the index of
-    the first 2 less one, and the rest is zeros and n threes that starts
-    with a zero, ends with a three and has no two threes in a row."""
-    two = s.find("2")
-    if two < 2 or s[0] != "1" or s[1:two].strip("0"):
-        return False
-    rest = s[two + 1 :]
-    return (
-        rest.count("3") == two - 1
-        and rest.endswith("3")
-        and rest[0] == "0"
-        and "33" not in rest
-        and not rest.strip("03")
-    )
+    """1 0^n 2 (0^+ 3)^n with n >= 1: the shape by one pattern, whose first
+    group 0^n ends at index n + 1, and exactly n threes."""
+    m = _THM2_SHAPE.fullmatch(s)
+    return m is not None and s.count("3") == m.end(1) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from aplang.filtration import (
     FilterFamily,
     FilteredAutomata,
     build_filtered_dfa,
-    enumerate_distinct_filtrations,
+    enumerate_atlases,
     filter_word,
     filtered_language_oracle,
 )
@@ -75,10 +75,10 @@ def test_criterion_3_finiteness_via_doubled_window():
     for _ in range(50):  # consume the criterion-2 pool positions
         random_dfa(rng, 5)
     checked = 0
+    families = list(FilterFamily)
     for _ in range(20):
         d = random_dfa(rng, 5)
-        for family in FilterFamily:
-            atlas = enumerate_distinct_filtrations(d, family)
+        for family, atlas in zip(families, enumerate_atlases(d, families)):
             forms = atlas.canonical_forms()
             for f in family.window_pairs(
                 2 * atlas.step_window + 1, 2 * atlas.offset_window

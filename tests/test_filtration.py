@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 import aplang.verification
 from aplang.automata import Alphabet, Dfa
 from aplang.boolmat import incidence_matrices, power_orbit
+from aplang.cli import main
 from aplang.diag import build_diag_nfa
 from aplang.filtration import (
     ArithFilter,
     FilterFamily,
     FilteredAutomata,
     build_filtered_dfa,
-    enumerate_distinct_filtrations,
+    enumerate_atlases,
     enumeration_window,
     filter_word,
     filtered_language_oracle,
@@ -38,6 +39,8 @@ from conftest import (
     universal_dfa,
     zeros_then_one_dfa,
 )
+
+FAMILIES = tuple(FilterFamily)
 
 
 # --- word-level filtering ---------------------------------------------------
@@ -225,9 +228,7 @@ def test_constructions_ignore_unreachable_and_equivalent_states():
         d = random_dfa(rng, 4)
         padded = padded_copy(d, rng)
         assert padded.minimized() == d.minimized()
-        for family in FilterFamily:
-            atlas = enumerate_distinct_filtrations(d, family)
-            assert enumerate_distinct_filtrations(padded, family) == atlas
+        assert enumerate_atlases(padded, FAMILIES) == enumerate_atlases(d, FAMILIES)
         for a, b in ((1, 0), (2, 1), (3, 4), (5, 2)):
             f = ArithFilter(a, b)
             assert build_filtered_dfa(padded, f).minimized() == build_filtered_dfa(
@@ -507,15 +508,15 @@ def test_thm1_fails_with_the_word_set_witness(monkeypatch):
 def test_thm1_finds_a_language_missing_from_the_atlas(monkeypatch, family):
     # (1, 0) is every family's first pair; from the second family on, its
     # halves' form is already built when the family's atlas is checked
-    enumerate_atlas = aplang.verification.enumerate_distinct_filtrations
+    enumerate_all = aplang.verification.enumerate_atlases
 
-    def without_first(d, fam):
-        atlas = enumerate_atlas(d, fam)
-        return replace(atlas, entries=atlas.entries[1:]) if fam is family else atlas
+    def without_first(d, families):
+        return tuple(
+            replace(atlas, entries=atlas.entries[1:]) if fam is family else atlas
+            for fam, atlas in zip(families, enumerate_all(d, families))
+        )
 
-    monkeypatch.setattr(
-        aplang.verification, "enumerate_distinct_filtrations", without_first
-    )
+    monkeypatch.setattr(aplang.verification, "enumerate_atlases", without_first)
     result = verify_thm1(pool_size=1, finiteness_pool=2)
     assert result.outcome == "FAIL"
     assert result.witness == (
@@ -561,6 +562,30 @@ def test_thm1_probes_the_whole_doubled_window(monkeypatch, half):
     )
 
 
+def test_thm1_fails_on_a_finiteness_build_past_the_subset_bound(monkeypatch, capsys):
+    # only the finiteness pool builds with one start node (its atlas and
+    # its doubled window): a build there past the bound is a FAIL that
+    # names the automaton, not an internal error
+    build = FilteredAutomata.build
+
+    def over_bound(automata, step_half, offset_halves):
+        if len(offset_halves) == 1:
+            raise RuntimeError("9 vector states exceed the subset bound 2^3 - 1")
+        return build(automata, step_half, offset_halves)
+
+    monkeypatch.setattr(FilteredAutomata, "build", over_bound)
+    result = verify_thm1(pool_size=2, finiteness_pool=2)
+    assert result.outcome == "FAIL"
+    assert result.witness == (
+        "automaton 0 of the finiteness pool: 9 vector states exceed the subset bound 2^3 - 1"
+    )
+    assert not any(line.startswith("state bound") for line in result.details)
+    assert main(["verify", "thm1"]) == 1
+    out = capsys.readouterr().out
+    assert "thm1: FAIL" in out
+    assert f"counterexample: {result.witness}" in out
+
+
 def test_thm1_without_a_finiteness_pool():
     result = verify_thm1(pool_size=2, finiteness_pool=0)
     assert result.outcome == "PASS"
@@ -603,19 +628,18 @@ def test_vector_states_stay_within_the_subset_bound():
 
 
 def test_atlas_universal_single_entry():
-    for family in FilterFamily:
-        atlas = enumerate_distinct_filtrations(universal_dfa(), family)
+    for atlas in enumerate_atlases(universal_dfa(), FAMILIES):
         assert len(atlas) == 1
 
 
 def test_atlas_empty_language_single_entry():
-    atlas = enumerate_distinct_filtrations(empty_dfa(), FilterFamily.STRONG)
+    (atlas,) = enumerate_atlases(empty_dfa(), [FilterFamily.STRONG])
     assert len(atlas) == 1
     assert atlas.entries[0][1].accepting == frozenset()  # entries are minimal
 
 
 def test_atlas_shift_family_of_ab_star(ab_star):
-    atlas = enumerate_distinct_filtrations(ab_star, FilterFamily.SHIFT)
+    (atlas,) = enumerate_atlases(ab_star, [FilterFamily.SHIFT])
     forms = atlas.canonical_forms()
     plain = ab_star.minimized()
     # dropping one letter gives b(ab)* plus the empty word
@@ -638,8 +662,7 @@ def test_atlas_completeness_doubled_window():
     rng = random.Random(27)
     for _ in range(6):
         d = random_dfa(rng, 4)
-        for family in FilterFamily:
-            atlas = enumerate_distinct_filtrations(d, family)
+        for family, atlas in zip(FAMILIES, enumerate_atlases(d, FAMILIES)):
             forms = atlas.canonical_forms()
             for f in family.window_pairs(
                 2 * atlas.step_window + 1, 2 * atlas.offset_window
@@ -655,7 +678,7 @@ def test_ordinary_atlas_reaches_past_index_plus_period():
     d = b_ab_star_dfa()
     b_star = Dfa.build(AB, 1, 0, [0], {(0, 1): 0}).minimized()
     assert build_filtered_dfa(d, ArithFilter(4, 2)).minimized() == b_star
-    atlas = enumerate_distinct_filtrations(d, FilterFamily.ORDINARY)
+    (atlas,) = enumerate_atlases(d, [FilterFamily.ORDINARY])
     assert len(atlas) == 7
     assert b_star in atlas.canonical_forms()
     assert atlas.entries[-1][0] == ArithFilter(4, 2)
@@ -675,8 +698,73 @@ def test_atlas_equals_the_per_pair_reference():
     rng = random.Random(32)
     for _ in range(25):
         d = random_dfa(rng, 5)
-        for family in FilterFamily:
-            assert enumerate_distinct_filtrations(d, family).entries == per_pair_atlas(d, family)
+        for family, atlas in zip(FAMILIES, enumerate_atlases(d, FAMILIES)):
+            assert atlas.entries == per_pair_atlas(d, family)
+
+
+def test_one_call_for_several_families_equals_one_call_per_family():
+    # the families share each step half's build and classes, yet every
+    # family's entries and window are still those of its own call, in
+    # whatever order the families are asked for
+    rng = random.Random(34)
+    dfas = [random_dfa(rng, 5) for _ in range(30)]
+    dfas += [hub_chain_dfa((3, 4, 5)), hub_chain_dfa((3, 5, 7))]
+    for d in dfas:
+        alone = [enumerate_atlases(d, [family])[0] for family in FAMILIES]
+        assert enumerate_atlases(d, FAMILIES) == tuple(alone)
+        backwards = FAMILIES[::-1]
+        assert enumerate_atlases(d, backwards) == tuple(alone[::-1])
+        assert [(a.step_window, a.offset_window) for a in alone] == [
+            enumeration_window(d.minimized())
+        ] * len(FAMILIES)
+    assert enumerate_atlases(universal_dfa(), []) == ()
+
+
+def test_several_families_build_each_step_half_once(monkeypatch):
+    # every weak, ordinary and shift pair is a strong pair too, so all four
+    # families make exactly the strong family's builds, each step half once
+    halves = []
+    build = FilteredAutomata.build
+
+    def recorded(automata, step_half, offset_halves):
+        halves.append(step_half)
+        return build(automata, step_half, offset_halves)
+
+    monkeypatch.setattr(FilteredAutomata, "build", recorded)
+    d = hub_chain_dfa((3, 4, 5))
+    enumerate_atlases(d, FAMILIES)
+    shared = list(halves)
+    halves.clear()
+    enumerate_atlases(d, [FilterFamily.STRONG])
+    assert shared == halves
+    assert len(set(shared)) == len(shared)
+
+
+@pytest.mark.parametrize("family", [FilterFamily.WEAK, FilterFamily.ORDINARY])
+def test_a_single_family_builds_only_its_own_halves(monkeypatch, family):
+    # enumerate-filtrations asks for one family: one build per step half
+    # that family uses, with a start node per offset half it needs there
+    # (first use first), and none for other families' offsets
+    calls = []
+    build = FilteredAutomata.build
+
+    def recorded(automata, step_half, offset_halves):
+        calls.append((step_half, list(offset_halves)))
+        return build(automata, step_half, offset_halves)
+
+    d = hub_chain_dfa((3, 5, 7))
+    automata = FilteredAutomata(d)
+    step_max, offset_bound = enumeration_window(automata.source)
+    expected: dict = {}
+    for f in family.window_pairs(step_max, offset_bound):
+        starts = expected.setdefault(automata.step_half(f.step), [])
+        if automata.offset_half(f.offset) not in starts:
+            starts.append(automata.offset_half(f.offset))
+    monkeypatch.setattr(FilteredAutomata, "build", recorded)
+    enumerate_atlases(d, [family])
+    assert calls == list(expected.items())
+    if family is FilterFamily.WEAK:
+        assert all(len(starts) == 1 for _, starts in calls)
 
 
 def test_hub_chain_is_minimal_with_a_long_orbit():
@@ -689,15 +777,16 @@ def test_hub_chain_is_minimal_with_a_long_orbit():
 
 def test_hub_chain_atlas_equals_the_per_pair_reference():
     d = hub_chain_dfa((3, 4, 5))
-    for family in (FilterFamily.WEAK, FilterFamily.SHIFT):
-        assert enumerate_distinct_filtrations(d, family).entries == per_pair_atlas(d, family)
+    families = (FilterFamily.WEAK, FilterFamily.SHIFT)
+    for family, atlas in zip(families, enumerate_atlases(d, families)):
+        assert atlas.entries == per_pair_atlas(d, family)
 
 
 @pytest.mark.parametrize("name, size", [("strong", 96), ("ordinary", 5)])
 def test_hub_chain_atlas_closed_under_a_sampled_doubled_window(name, size):
     d = hub_chain_dfa((3, 4, 5))
     family = FilterFamily(name)
-    atlas = enumerate_distinct_filtrations(d, family)
+    (atlas,) = enumerate_atlases(d, [family])
     assert len(atlas) == size
     for f, canon in atlas.entries:
         assert build_filtered_dfa(d, f).minimized() == canon
@@ -714,8 +803,7 @@ def test_atlas_entries_pairwise_distinct_and_family_consistent():
     rng = random.Random(28)
     for _ in range(8):
         d = random_dfa(rng, 4)
-        for family in FilterFamily:
-            atlas = enumerate_distinct_filtrations(d, family)
+        for family, atlas in zip(FAMILIES, enumerate_atlases(d, FAMILIES)):
             assert len(atlas.canonical_forms()) == len(atlas)
             for f, _ in atlas.entries:
                 assert family.admits(f)
@@ -725,10 +813,10 @@ def test_family_inclusions():
     rng = random.Random(29)
     for _ in range(8):
         d = random_dfa(rng, 4)
-        strong = enumerate_distinct_filtrations(d, FilterFamily.STRONG).canonical_forms()
-        for family in (FilterFamily.WEAK, FilterFamily.ORDINARY, FilterFamily.SHIFT):
-            forms = enumerate_distinct_filtrations(d, family).canonical_forms()
-            assert forms <= strong
+        atlases = dict(zip(FAMILIES, enumerate_atlases(d, FAMILIES)))
+        strong = atlases[FilterFamily.STRONG].canonical_forms()
+        for atlas in atlases.values():
+            assert atlas.canonical_forms() <= strong
 
 
 def test_family_membership_rules():

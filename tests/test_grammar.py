@@ -337,10 +337,22 @@ def test_thm2_pattern_words_are_the_short_members(length):
 
 
 def test_thm2_predicates_agree_with_regular_expressions():
-    # an independent reference: the shape by re, the block count by counting
+    # an independent reference for in_thm2's pattern: a parse by str
+    # methods, where n is the index of the first 2 less one and the rest
+    # is zeros and n threes that starts with a zero, ends with a three and
+    # has no two threes in a row
     def ladder(s):
-        m = re.fullmatch(r"1(0+)2((?:0+3)+)", s)
-        return m is not None and m[2].count("3") == len(m[1])
+        two = s.find("2")
+        if two < 2 or s[0] != "1" or s[1:two].strip("0"):
+            return False
+        rest = s[two + 1 :]
+        return (
+            rest.count("3") == two - 1
+            and rest.endswith("3")
+            and rest[0] == "0"
+            and "33" not in rest
+            and not rest.strip("03")
+        )
 
     for n in range(8):
         for t in product("0123x", repeat=n):
