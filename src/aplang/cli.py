@@ -87,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
 
     p = sub.add_parser(
-        "diag-nfa", help="build the NFA for the diagonal language of a DFA"
+        "diag-nfa",
+        help="build the automaton for the diagonal language of a DFA, "
+        "written as an NFA with one target per transition",
     )
     p.add_argument("dfa_file")
     p.add_argument("--out", help="write the NFA here instead of stdout")

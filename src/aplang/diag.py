@@ -3,9 +3,10 @@
 A word of length n*n, laid out row-major in an n-by-n array, has its main
 diagonal at indices 0, n+1, 2(n+1), ...  diag of a language keeps only the
 square-length members and maps each to its diagonal word.  The automaton
-construction guesses the gap matrix (some power of the transition union M)
-up front and checks the guess at acceptance time, which keeps the state
-space finite because matrix powers are eventually periodic.
+construction runs the filtration builder's stride automata, one per power
+of the transition union M, in lockstep with the orbit position of the word
+length, which keeps the state space finite because matrix powers are
+eventually periodic.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from math import isqrt
 from typing import Sequence, TypeVar
 
 from .automata import Dfa, Nfa, Word
-from .boolmat import incidence_matrices, power_orbit
-from .filtration import _SourceWalk
+from .filtration import FilteredAutomata, _SourceWalk
 
 W = TypeVar("W", bound=Sequence)
 
@@ -28,77 +28,45 @@ def diag_word(w: W) -> W:
     return w[:: n + 1]
 
 
-def build_diag_nfa(d: Dfa, *, gap_after: bool = False) -> Nfa:
-    """NFA accepting exactly the diagonal words of the DFA's language,
-    built on d's minimal DFA: the diagonal depends on the language alone,
-    and the minimal DFA's orbit has an index no larger and a period
-    dividing d's.
+def build_diag_nfa(d: Dfa) -> Nfa:
+    """Automaton accepting exactly the diagonal words of the DFA's
+    language, with one target per transition: the lockstep of
+    FilteredAutomata's stride automata, so it is built on d's minimal DFA.
 
-    After the first letter a state is the triple (reach, steps, gap) of
-    ints: reach holds the bits of the source states reachable so far, and
-    steps and gap are positions in the power orbit of the transition
-    union M, naming the running power M^t of the t letters read and the
-    guessed matrix bridging consecutive diagonal letters.  The orbit's
-    powers are pairwise distinct, so equal positions mean equal matrices.
-
-    The first letter fans out over every distinct power of M as the gap
-    guess.  Each further letter a updates reach to (reach * gap) * M_a:
-    the gap sits between consecutive diagonal letters, never after the
-    last one.  A state accepts iff its reach vector meets the accepting
-    set and steps == gap, i.e. the gap really is M^t for the t letters
-    read.
-
-    gap_after=True steps with the gap after each non-initial letter
-    instead (reach * M_a * gap).  That order diverges from diag semantics
-    at two letters; the verification harness builds it to demonstrate
-    the divergence.
+    A diagonal word of length t is its source filtered by step t+1 with
+    no free letters after the last letter.  For each position r of the
+    power orbit of M, the stride automaton A_r steps by M^r between
+    letters and accepts only in the source's accepting set, so a word of
+    length t is a diagonal iff A_r accepts it for r = reduce(t).  A state
+    is the tuple of every A_r's state plus the position reduce(t) of the
+    t letters read, and it accepts iff the A_r at its position does.  The
+    empty word sits at position 0 with every A_r at its start node, which
+    no word reaches again and which accepts nothing.
     """
-    d = d.minimized()
-    mats, m = incidence_matrices(d)
-    orbit = power_orbit(m)
-    k = len(d.alphabet)
-    final = sum(1 << q for q in d.accepting)
-    # fold each gap guess into the letter matrices: one product per transition
-    stride = [
-        [mc @ guess if gap_after else guess @ mc for mc in mats] for guess in orbit.powers
-    ]
-
-    index: dict[tuple[int, int, int], int] = {}
-    order: list[tuple[int, int, int]] = []
-
-    def state_of(s: tuple[int, int, int]) -> int:
-        if s not in index:
-            index[s] = len(order) + 1
-            order.append(s)
-        return index[s]
-
-    first = orbit.reduce(1)
-    entry_row = tuple(
-        frozenset(
-            state_of((mats[c].rows_or(1 << d.start), first, guess))
-            for guess in range(len(orbit.powers))
-        )
-        for c in range(k)
-    )
-    rows: list[tuple[frozenset[int], ...]] = [entry_row]
-    i = 0
-    while i < len(order):
-        reach, steps, gap = order[i]
-        nxt = orbit.reduce(steps + 1)
-        rows.append(
-            tuple(
-                frozenset((state_of((stride[gap][c].rows_or(reach), nxt, gap)),))
-                for c in range(k)
-            )
-        )
-        i += 1
+    automata = FilteredAutomata(d)
+    orbit = automata.orbit
+    entry = [(1 << automata.source.start, False)]
+    strides = [automata.build((r, 1), entry) for r in range(len(orbit.powers))]
+    symbols = range(len(d.alphabet))
+    start = ((0,) * len(strides), 0)
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for states, pos in order:
+        nxt = orbit.reduce(pos + 1)
+        row = []
+        for c in symbols:
+            target = (tuple(a.delta[q][c] for a, q in zip(strides, states)), nxt)
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            row.append(frozenset((index[target],)))
+        rows.append(tuple(row))
 
     accepting = frozenset(
-        idx + 1
-        for idx, (reach, steps, gap) in enumerate(order)
-        if reach & final and steps == gap
+        i for i, (states, pos) in enumerate(order) if states[pos] in strides[pos].accepting
     )
-    return Nfa(d.alphabet, 1 + len(order), frozenset((0,)), accepting, tuple(rows))
+    return Nfa(d.alphabet, len(order), frozenset((0,)), accepting, tuple(rows))
 
 
 def diag_oracle_accepts(d: Dfa, w: Word) -> bool:

@@ -25,9 +25,10 @@ from typing import Any, Callable, Iterator
 
 from .automata import Alphabet, Dfa, Nfa
 
-# Above the largest automata the toolkit writes and reads back (the diagonal
-# NFA of the minimal period-210 hub chain has 91 800 states over two letters),
-# and small enough that a table with this many cells fits in memory.
+# Far above the largest automaton the toolkit writes and reads back (the
+# diagonal automaton of the period-210 hub chain: 850 states over two
+# letters, 1 700 cells), and small enough that a table with this many cells
+# fits in memory.
 MAX_CELLS = 1 << 21
 
 

@@ -14,7 +14,7 @@ import aplang.cli
 import aplang.verification
 from aplang.automata import Alphabet
 from aplang.cli import main
-from aplang.diag import build_diag_nfa
+from aplang.diag import build_diag_nfa, diag_oracle_accepts
 from aplang.jsonio import (
     dfa_to_obj,
     load_dfa,
@@ -30,7 +30,15 @@ from aplang.verification import (
     verify_thm5,
 )
 
-from conftest import AB, ab_star_dfa, b_ab_star_dfa, equivalent, load_nfa, universal_dfa
+from conftest import (
+    AB,
+    ab_star_dfa,
+    b_ab_star_dfa,
+    equivalent,
+    load_nfa,
+    single_word_dfa,
+    universal_dfa,
+)
 
 
 def run_cli(capsys, *argv):
@@ -380,7 +388,7 @@ def test_thm2_and_thm3_do_not_format_words(monkeypatch):
 
 def thm4_details(automata):
     return [
-        f"three-way agreement (nfa, matrix oracle, literal enumeration) for "
+        f"three-way agreement (nfa, walk oracle, literal enumeration) for "
         f"{automata} automata and every word of length t <= 4",
         "info: gap-after-letter stepping diverges on fixed witness {abba}, t=2, "
         "word 'aa'; the gap-before-letter stepping matches both oracles",
@@ -402,19 +410,17 @@ def test_thm4_report_is_pinned(kwargs, automata):
     assert result.details == thm4_details(automata)
 
 
-def test_thm4_builds_the_gap_after_variant_once(monkeypatch):
-    # only the fixed witness's variant is consulted, so only it is built
-    real = aplang.verification.build_diag_nfa
-    variants = []
+def test_thm4_consults_the_gap_after_mutant_only_on_the_fixed_witness(monkeypatch):
+    real = aplang.verification._gap_after_accepts
+    sources = []
 
-    def counting(d, gap_after=False):
-        if gap_after:
-            variants.append(d)
-        return real(d, gap_after=gap_after)
+    def recording(d, w):
+        sources.append(d)
+        return real(d, w)
 
-    monkeypatch.setattr(aplang.verification, "build_diag_nfa", counting)
+    monkeypatch.setattr(aplang.verification, "_gap_after_accepts", recording)
     assert verify_thm4().outcome == "PASS"
-    assert len(variants) == 1
+    assert sources and all(d == single_word_dfa("abba", AB) for d in sources)
 
 
 @pytest.mark.parametrize(
@@ -497,13 +503,13 @@ REFUTATIONS = [
     ),
     pytest.param(
         verify_thm4, {}, {"diag_oracle_accepts": lambda real: lambda d, w: False},
-        "fixed witness {abba}, word 'aa': nfa=True, matrix oracle=False, "
+        "fixed witness {abba}, word 'aa': nfa=True, walk oracle=False, "
         "literal oracle=True",
         id="thm4-three-way",
     ),
     pytest.param(
         verify_thm4, {},
-        {"build_diag_nfa": lambda real: lambda d, gap_after=False: real(d)},
+        {"_gap_after_accepts": lambda real: diag_oracle_accepts},
         "the gap-after-letter stepping unexpectedly matched the oracles everywhere",
         id="thm4-no-divergence",
     ),
@@ -584,7 +590,7 @@ def test_thm4_compares_the_literal_oracle_at_4(monkeypatch):
     result = verify_thm4(pool_size=0)
     assert (result.outcome, result.witness) == (
         "FAIL",
-        "fixed witness {abba}, word 'aaaa': nfa=False, matrix oracle=False, "
+        "fixed witness {abba}, word 'aaaa': nfa=False, walk oracle=False, "
         "literal oracle=True",
     )
 

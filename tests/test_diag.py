@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from aplang.automata import Dfa
 from aplang.boolmat import BoolMatrix, incidence_matrices, power_orbit
 from aplang.diag import build_diag_nfa, diag_oracle_accepts, diag_oracle_exhaustive, diag_word
-from aplang.verification import random_dfa
+from aplang.verification import _gap_after_accepts, random_dfa
 
 from conftest import (
     AB,
@@ -231,11 +231,10 @@ def test_gap_after_variant_diverges_at_two_letters():
     # {aa}; stepping with the gap after each letter instead accepts {ab}
     d = single_word_dfa("abba", AB)
     good = build_diag_nfa(d)
-    bad = build_diag_nfa(d, gap_after=True)
     aa, ab = AB.word("aa"), AB.word("ab")
     assert diag_word(AB.word("abba")) == aa
     assert good.accepts(aa) and not good.accepts(ab)
-    assert bad.accepts(ab) and not bad.accepts(aa)
+    assert _gap_after_accepts(d, ab) and not _gap_after_accepts(d, aa)
     assert diag_oracle_accepts(d, aa) and not diag_oracle_accepts(d, ab)
     assert diag_oracle_exhaustive(d, 2) == {aa}
 
@@ -246,9 +245,8 @@ def test_gap_after_variant_agrees_at_one_letter():
     for _ in range(10):
         d = random_dfa(rng, 4, min_symbols=2, max_symbols=2)
         good = build_diag_nfa(d)
-        bad = build_diag_nfa(d, gap_after=True)
         for c in range(2):
-            assert good.accepts((c,)) == bad.accepts((c,))
+            assert good.accepts((c,)) == _gap_after_accepts(d, (c,))
 
 
 # --- state-space sanity ----------------------------------------------------------
@@ -277,20 +275,18 @@ def coprime_cycle_dfa(lengths: tuple[int, ...]) -> Dfa:
 
 
 def test_diag_state_count_on_coprime_cycles():
-    """The (3, 4, 5) cycle automaton's diagonal NFA has exactly 1 + 3^2
+    """The (3, 4, 5) cycle automaton's diagonal automaton has exactly 4
     states.
 
     Its union matrix permutes the three cycles, with orbit index 0 and
     period lcm(3, 4, 5) = 60, but only the 3-cycle through the start is
-    reachable, so the NFA is built on that 3-cycle: the minimal DFA, whose
-    M is a 3-cycle permutation with index 0 and period p = 3.  A gap
-    guess or a running power is then a residue mod 3.  Both letters apply
-    M, so after t letters with gap guess g the reach vector is
-    e_0 M^(1 + (t-1)(g+1)): a function of (t mod 3, g), which the state
-    already records as (steps, gap).  Every pair is reached, because the
-    first letter fans out over all 3 guesses and steps then runs through
-    every residue.  That gives p^2 states after the first letter, plus
-    the initial state.
+    reachable, so the automaton is built on that 3-cycle: the minimal
+    DFA, whose M is a 3-cycle permutation with index 0 and period 3, so
+    D = 3 orbit positions.  Both letters apply M, so after t >= 1 letters
+    each stride automaton A_r holds the vector e_0 M^(1 + (t-1)(r+1)), and
+    the position is t mod 3: the whole state is a function of t mod 3.
+    That gives D = 3 states after the first letter, plus the empty-word
+    state.
     """
     d = coprime_cycle_dfa((3, 4, 5))
     orbit = power_orbit(incidence_matrices(d)[1])
@@ -298,19 +294,39 @@ def test_diag_state_count_on_coprime_cycles():
     minimal = d.minimized()
     orbit = power_orbit(incidence_matrices(minimal)[1])
     assert (minimal.size, orbit.index, orbit.period) == (3, 0, 3)
-    assert build_diag_nfa(d).size == 1 + 3 * 3
+    assert build_diag_nfa(d).size == 1 + 3
+
+
+@pytest.mark.parametrize("cycles", [(3, 4, 5), (3, 5, 7)], ids=["p60", "p105"])
+def test_diag_is_deterministic(cycles):
+    # every transition has exactly one target, so the subset construction
+    # only renames the states
+    nfa = build_diag_nfa(hub_chain_dfa(cycles))
+    assert all(len(targets) == 1 for row in nfa.delta for targets in row)
+    assert len(nfa.initial) == 1
+    assert nfa.determinize().size == nfa.size
 
 
 @pytest.mark.parametrize(
-    "cycles, size", [((3, 4, 5), 7874), ((3, 5, 7), 23219)], ids=["p60", "p105"]
+    "cycles, size", [((3, 4, 5), 186), ((3, 5, 7), 321), ((2, 3, 5, 7), 850)],
+    ids=["p60", "p105", "p210"],
 )
 def test_diag_state_count_on_hub_chains(cycles, size):
     # the hub chains are minimal with long orbits, so building on the
-    # minimal DFA leaves their NFAs as large as on the DFA as given; the
-    # sizes are pinned from the construction on the DFA as given
+    # minimal DFA leaves them as they are; one state per reachable
+    # (stride automata states, orbit position) tuple
     d = hub_chain_dfa(cycles)
     assert d.minimized().size == d.size
     assert build_diag_nfa(d).size == size
+
+
+@pytest.mark.parametrize(
+    "cycles, size", [((3, 4, 5), 10), ((3, 5, 7), 40)], ids=["p60", "p105"]
+)
+def test_diag_language_size_on_hub_chains(cycles, size):
+    # the minimal DFA depends on the diagonal language alone, not on how
+    # its automaton is built
+    assert build_diag_nfa(hub_chain_dfa(cycles)).determinize().minimized().size == size
 
 
 def test_diag_nfa_folds_back_through_orbit_index():

@@ -40,7 +40,15 @@ def test_word_oracles_share_nothing_with_the_construction():
         ),
         "diag.py": (
             {"diag_oracle_accepts", "diag_oracle_exhaustive"},
-            {"BoolMatrix", "incidence_matrices", "power_orbit", "build_diag_nfa", "orbit"},
+            {
+                "BoolMatrix",
+                "FilteredAutomata",
+                "build",
+                "build_diag_nfa",
+                "incidence_matrices",
+                "orbit",
+                "power_orbit",
+            },
         ),
     }
     for module, (oracles, construction) in checks.items():
