@@ -5,14 +5,44 @@ immutable after construction and every operation is a pure function, so
 values can be shared freely.  minimized() returns a canonical record:
 two DFAs over the same alphabet accept the same language iff their
 minimized forms compare equal.
+
+explore is the one place where built states get their numbers: each
+construction (subsets, canonical DFAs, filtered automata, the diagonal,
+the power orbit, CYK's unit closure) numbers its reachable nodes by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
 Word = tuple[int, ...]
+N = TypeVar("N", bound=Hashable)
+
+
+def explore(
+    starts: Iterable[N], successors: Callable[[N], Iterable[N]]
+) -> tuple[list[N], list[list[int]]]:
+    """The nodes reachable from starts, numbered breadth first: the
+    distinct starts first, in the order given, then every other node in
+    the order first met, scanning nodes by number and each node's
+    successors in order.  rows[i] holds the numbers of
+    successors(nodes[i])."""
+    index: dict[N, int] = {}
+    for node in starts:
+        index.setdefault(node, len(index))
+    nodes = list(index)
+    rows = []
+    for node in nodes:
+        row = []
+        for t in successors(node):
+            i = index.get(t)
+            if i is None:
+                i = index[t] = len(nodes)
+                nodes.append(t)
+            row.append(i)
+        rows.append(row)
+    return nodes, rows
 
 
 @dataclass(frozen=True)
@@ -163,14 +193,8 @@ class Dfa:
         """Unique minimal complete DFA in canonical form: states renumbered
         by breadth-first discovery order from the start state, scanning
         symbols in alphabet order."""
-        order = [self.start]
-        seen = {self.start}
-        for q in order:
-            for t in self.delta[q]:
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-        return self.canonical_from(self.language_classes(order), self.start)
+        reachable, _ = explore((self.start,), self.delta.__getitem__)
+        return self.canonical_from(self.language_classes(reachable), self.start)
 
     def language_classes(self, states: Iterable[int]) -> dict[int, int]:
         """Moore partition refinement: a class number for each given state,
@@ -197,18 +221,14 @@ class Dfa:
         given the language classes of every state reachable from it: one
         state per class, numbered in breadth-first discovery order from
         `start`'s class, scanning symbols in alphabet order."""
-        index = {classes[start]: 0}
-        reps = [start]
-        rows = []
-        for q in reps:
-            row = []
-            for t in self.delta[q]:
-                b = classes[t]
-                if b not in index:
-                    index[b] = len(reps)
-                    reps.append(t)
-                row.append(index[b])
-            rows.append(tuple(row))
+        delta = self.delta
+        # rep[b]: the first state of class b met, which stands for the class
+        rep = {classes[start]: start}
+
+        def successors(q: int) -> list[int]:
+            return [rep.setdefault(classes[t], t) for t in delta[q]]
+
+        reps, rows = explore((start,), successors)
         accepting = frozenset(i for i, q in enumerate(reps) if q in self.accepting)
         return Dfa(self.alphabet, len(reps), 0, accepting, tuple(rows))
 
@@ -257,24 +277,17 @@ class Nfa:
     def determinize(self) -> Dfa:
         """Subset construction over the subsets reachable from the initial
         set; the empty subset, if reached, is the dead state."""
-        k = len(self.alphabet)
-        start = self.initial
-        index: dict[frozenset[int], int] = {start: 0}
-        order: list[frozenset[int]] = [start]
-        rows: list[tuple[int, ...]] = []
-        for subset in order:
+        delta, symbols = self.delta, range(len(self.alphabet))
+
+        def successors(subset: frozenset[int]) -> list[frozenset[int]]:
             row = []
-            for c in range(k):
+            for c in symbols:
                 target: set[int] = set()
                 for q in subset:
-                    target.update(self.delta[q][c])
-                ft = frozenset(target)
-                if ft not in index:
-                    index[ft] = len(order)
-                    order.append(ft)
-                row.append(index[ft])
-            rows.append(tuple(row))
-        accepting = frozenset(
-            i for i, subset in enumerate(order) if subset & self.accepting
-        )
-        return Dfa(self.alphabet, len(order), 0, accepting, tuple(rows))
+                    target.update(delta[q][c])
+                row.append(frozenset(target))
+            return row
+
+        subsets, rows = explore((self.initial,), successors)
+        accepting = frozenset(i for i, subset in enumerate(subsets) if subset & self.accepting)
+        return Dfa(self.alphabet, len(subsets), 0, accepting, tuple(rows))

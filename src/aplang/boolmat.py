@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .automata import Dfa
+from .automata import Dfa, explore
 
 
 @dataclass(frozen=True)
@@ -86,19 +84,15 @@ class PowerOrbit:
 @lru_cache(maxsize=32)
 def power_orbit(a: BoolMatrix) -> PowerOrbit:
     """Minimal (index, period) with A^(index+period) = A^index, plus all
-    distinct powers, found by iterating products until the first repeat."""
-    powers: list[BoolMatrix] = []
-    seen: dict[BoolMatrix, int] = {}
-    cur = BoolMatrix.identity(a.size)
-    while cur not in seen:
-        seen[cur] = len(powers)
-        powers.append(cur)
-        cur = cur @ a
-    first = seen[cur]
-    return PowerOrbit(index=first, period=len(powers) - first, powers=tuple(powers))
+    distinct powers, found by iterating products until the first repeat:
+    the chain I, A, A^2, ... gives each power one successor, so the index
+    is the number of the power that the last listed one steps to."""
+    powers, rows = explore((BoolMatrix.identity(a.size),), lambda p: (p @ a,))
+    (index,) = rows[-1]
+    return PowerOrbit(index=index, period=len(powers) - index, powers=tuple(powers))
 
 
-def incidence_matrices(d: "Dfa") -> tuple[tuple[BoolMatrix, ...], BoolMatrix]:
+def incidence_matrices(d: Dfa) -> tuple[tuple[BoolMatrix, ...], BoolMatrix]:
     """Per-symbol incidence matrices of a complete DFA plus their entrywise OR.
 
     Matrix c has a 1 at (i, j) iff the automaton moves from state i to state j

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Sequence, TypeVar
 
-from .automata import Dfa, Nfa, Word
+from .automata import Dfa, Nfa, Word, explore
 from .filtration import FilteredAutomata, _SourceWalk
 
 W = TypeVar("W", bound=Sequence)
@@ -48,25 +48,18 @@ def build_diag_nfa(d: Dfa) -> Nfa:
     entry = [(1 << automata.source.start, False)]
     strides = [automata.build((r, 1), entry) for r in range(len(orbit.powers))]
     symbols = range(len(d.alphabet))
-    start = ((0,) * len(strides), 0)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    for states, pos in order:
-        nxt = orbit.reduce(pos + 1)
-        row = []
-        for c in symbols:
-            target = (tuple(a.delta[q][c] for a, q in zip(strides, states)), nxt)
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-            row.append(frozenset((index[target],)))
-        rows.append(tuple(row))
 
+    def successors(node: tuple) -> list[tuple]:
+        states, pos = node
+        nxt = orbit.reduce(pos + 1)
+        return [(tuple(a.delta[q][c] for a, q in zip(strides, states)), nxt) for c in symbols]
+
+    nodes, rows = explore((((0,) * len(strides), 0),), successors)
     accepting = frozenset(
-        i for i, (states, pos) in enumerate(order) if states[pos] in strides[pos].accepting
+        i for i, (states, pos) in enumerate(nodes) if states[pos] in strides[pos].accepting
     )
-    return Nfa(d.alphabet, len(order), frozenset((0,)), accepting, tuple(rows))
+    delta = tuple(tuple(frozenset((t,)) for t in row) for row in rows)
+    return Nfa(d.alphabet, len(nodes), frozenset((0,)), accepting, delta)
 
 
 def diag_oracle_accepts(d: Dfa, w: Word) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence, TypeVar
 
-from .automata import Dfa, Word
+from .automata import Dfa, Word, explore
 from .boolmat import incidence_matrices, power_orbit
 
 W = TypeVar("W", bound=Sequence)
@@ -135,26 +135,20 @@ class FilteredAutomata:
         stride, fold = step_half
         # fold the stride into per-symbol matrices so each transition is one product
         step_syms = [self.orbit.powers[stride] @ mc for mc in self.mats]
+        first, mats = self._first, self.mats
+
+        def successors(node: int | tuple[int, int]) -> Sequence[int]:
+            if type(node) is int:
+                return [ms.rows_or(node) for ms in step_syms]
+            row = node[1]
+            if row not in first:
+                first[row] = tuple(mc.rows_or(row) for mc in mats)
+            return first[row]
+
+        # a start node is keyed by its position, so equal halves keep their own node
         starts = len(offset_halves)
-        index: dict[int, int] = {}
-        vectors: list[int] = []
-
-        def state_of(bits: int) -> int:
-            if bits not in index:
-                index[bits] = starts + len(vectors)
-                vectors.append(bits)
-            return index[bits]
-
-        rows = []
-        for row, _ in offset_halves:
-            if row not in self._first:
-                self._first[row] = tuple(mc.rows_or(row) for mc in self.mats)
-            rows.append(tuple(state_of(bits) for bits in self._first[row]))
-        i = 0
-        while i < len(vectors):
-            v = vectors[i]
-            rows.append(tuple(state_of(ms.rows_or(v)) for ms in step_syms))
-            i += 1
+        nodes, rows = explore(((i, row) for i, (row, _) in enumerate(offset_halves)), successors)
+        vectors = nodes[starts:]
 
         # every vector is a non-empty set, as d is complete
         n = self.source.size

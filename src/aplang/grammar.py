@@ -20,7 +20,7 @@ from itertools import accumulate, product
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .automata import Alphabet, Word
+from .automata import Alphabet, Word, explore
 
 Rhs = tuple[str, ...]
 
@@ -105,20 +105,15 @@ def _cyk_tables(g: Cfg) -> tuple[list, dict, int, bool]:
             if head not in nullable and all(sym in nullable for sym in body):
                 nullable.add(head)
                 changed = True
-    steps: dict = {}
+    steps: dict = {sym: set() for sym in ids}
     for head, body in rules:
         for i, sym in enumerate(body):
             if all(other in nullable for other in body[:i] + body[i + 1 :]):
-                steps.setdefault(sym, set()).add(head)
+                steps[sym].add(head)
     up: dict = {}
     for sym in ids:
-        seen, todo = {sym}, [sym]
-        while todo:
-            for head in steps.get(todo.pop(), ()):
-                if head not in seen:
-                    seen.add(head)
-                    todo.append(head)
-        up[sym] = frozenset(map(ids.__getitem__, seen))
+        reached, _ = explore((sym,), steps.__getitem__)
+        up[sym] = frozenset(map(ids.__getitem__, reached))
     pairs: dict[tuple[int, int], frozenset[int]] = {}
     for head, body in rules:
         if len(body) == 2:

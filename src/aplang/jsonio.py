@@ -5,14 +5,15 @@ DFA: {"alphabet": ["a","b"], "states": 3, "start": 0, "accepting": [0],
 Transitions omitted from a DFA go to an implicit dead state appended as
 state index `states`.  The NFA format is identical except that "initial"
 is a list and delta values are lists; omitted NFA transitions are simply
-the empty target set.  In both formats the delta keys, "start" or
-"initial", and "accepting" must name states below "states", so a file
-cannot make the dead state accept.  Every state number must be a JSON
-integer; true and false are rejected, although Python counts them as
-ints.  A delta key must spell its state in canonical decimal ("3", not
-"03", "+3" or "3_0"), so no two keys can name the same state.  The
-table's cells, "states" times the alphabet's size, may be at most
-MAX_CELLS, so a small file cannot ask for a huge table.
+the empty target set.  In both formats the delta keys, the transition
+targets, "start" or "initial", and "accepting" must name states below
+"states", so a file cannot make the dead state accept or name it as a
+target.  Every state number must be a JSON integer; true and false are
+rejected, although Python counts them as ints.  A delta key must spell
+its state in canonical decimal ("3", not "03", "+3" or "3_0"), so no two
+keys can name the same state.  The table's cells, "states" times the
+alphabet's size, may be at most MAX_CELLS, so a small file cannot ask
+for a huge table.
 Top-level keys other than the format's are ignored.
 Writers always emit complete tables, so a write followed by a read
 reproduces the in-memory value exactly.

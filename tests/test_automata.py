@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from aplang.automata import Alphabet, Dfa, Nfa
+from aplang.automata import Alphabet, Dfa, Nfa, explore
 from aplang.verification import random_dfa
 
 from conftest import (
@@ -31,6 +31,30 @@ def pad_with_unreachable(d: Dfa) -> Dfa:
     k = len(d.alphabet)
     rows = list(d.delta) + [(d.size,) * k]
     return Dfa(d.alphabet, d.size + 1, d.start, d.accepting | {d.size}, tuple(rows))
+
+
+# --- numbering reachable nodes ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "starts, graph, nodes, rows",
+    [
+        # starts first, in the order given and once each, before what they reach
+        ("zyz", {"z": "x", "y": "x", "x": ""}, "zyx", [[2], [2], []]),
+        # breadth first: both children of s before any grandchild
+        ("s", {"s": "ab", "a": "c", "b": "d", "c": "", "d": ""}, "sabcd",
+         [[1, 2], [3], [4], [], []]),
+        # q keeps its start number although p reaches r first
+        ("pq", {"p": "rq", "q": "p", "r": ""}, "pqr", [[2, 1], [0], []]),
+        # a self-loop, a cycle and a repeated successor end the walk
+        ("x", {"x": "xyy", "y": "x"}, "xy", [[0, 1, 1], [0]]),
+        # a node without successors gets an empty row
+        ("e", {"e": ""}, "e", [[]]),
+    ],
+    ids=["starts-in-order", "breadth-first", "reached-start", "cycles", "sink"],
+)
+def test_explore_numbers_nodes_in_first_met_order(starts, graph, nodes, rows):
+    assert explore(starts, graph.__getitem__) == (list(nodes), rows)
 
 
 # --- acceptance ------------------------------------------------------------

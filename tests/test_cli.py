@@ -117,7 +117,14 @@ def test_filter_lang_invalid_json_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("accepting", ["0"]), ("states", True)]
+    "field, value",
+    [
+        ("accepting", ["0"]),
+        ("states", True),
+        ("delta", {"0": [0]}),
+        ("delta", {"0": {"a": 1}}),  # target 1 is the dead state of the partial table
+        ("alphabet", ["a", "b", ""]),
+    ],
 )
 def test_filter_lang_wrongly_typed_field_exits_2(tmp_path, capsys, field, value):
     obj = dfa_to_obj(universal_dfa())  # one state, so true would read as 1

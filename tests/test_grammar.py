@@ -48,6 +48,8 @@ def test_cfg_validation():
         Cfg.make(ab, ("S",), "S", {"S": [("a",)], "Q": []})  # unknown head, no rules
     with pytest.raises(ValueError):
         Cfg(ab, ("S",), "S", (("Q", ("a",)),))  # unknown head, built directly
+    with pytest.raises(ValueError, match="duplicate nonterminal"):
+        Cfg.make(ab, ("S", "S"), "S", {"S": [("a",)]})
 
 
 def test_cfg_make_ignores_the_mapping_order():
@@ -387,6 +389,7 @@ def test_in_thm5_minimal_example():
     assert not in_thm5(w.replace("0c", "c", 1))   # missing zeros before c
     assert not in_thm5("a" + "0" * 9 + w[11:])    # run not of the form 3m+1
     assert not in_thm5(w.replace("b0c0", "b0", 1))  # group count mismatch
+    assert not in_thm5(w.replace("b", "c", 1))  # wrong letter after the long run
 
 
 def test_thm5_witness_structure():

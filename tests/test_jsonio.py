@@ -88,6 +88,11 @@ def test_malformed_objects_rejected():
         lambda o: o["delta"].update(oops={"a": 0}),
         lambda o: o["delta"]["0"].update(z=1),
         lambda o: o["delta"]["0"].update(a="x"),
+        lambda o: o["delta"].update({"0": [0]}),
+        # each of these would load without its check: the table is partial,
+        # so state 3 is the dead state, and the empty token has no cells
+        lambda o: o["delta"].update({"0": {"a": 3}}),
+        lambda o: o.update(alphabet=["a", "b", ""]),
     ):
         obj = json.loads(json.dumps(good))
         breakage(obj)

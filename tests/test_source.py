@@ -29,6 +29,7 @@ def test_word_oracles_share_nothing_with_the_construction():
                 "FilteredAutomata",
                 "_first",
                 "build_filtered_dfa",
+                "explore",
                 "incidence_matrices",
                 "mats",
                 "near",
@@ -45,6 +46,7 @@ def test_word_oracles_share_nothing_with_the_construction():
                 "FilteredAutomata",
                 "build",
                 "build_diag_nfa",
+                "explore",
                 "incidence_matrices",
                 "orbit",
                 "power_orbit",
@@ -157,10 +159,11 @@ def test_thm2_oracles_do_not_use_the_grammar():
 
 def test_enumerator_does_not_use_cyk():
     # CYK is the enumerator's oracle on random grammars, so the enumerator
-    # and the module functions it calls may not name it or its tables
+    # and the module functions it calls may not name it, its tables or the
+    # explore that closes its unit steps
     reached, named = _reached("grammar.py", "enumerate_cfg_words")
     assert reached == {"enumerate_cfg_words", "enumerate_cfg_words_by_length", "_splits"}
-    assert named & {"cyk_accepts", "_cyk_tables"} == set()
+    assert named & {"cyk_accepts", "_cyk_tables", "explore"} == set()
 
 
 def test_cyk_does_not_use_the_enumerator():
