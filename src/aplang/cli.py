@@ -5,11 +5,16 @@ diag-nfa, verify.  Exit codes: 0 success / all claims pass, 1 verification
 failure, 2 usage or parse error, 3 file I/O error, 4 internal error.
 Standard output is byte-deterministic for fixed flags and seed; timing goes
 to stderr.
+
+``main(argv)`` may be called many times in one process.  It builds its
+parser on the first call and reuses it; nothing else persists between
+calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -46,7 +51,10 @@ def _length(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The aplang parser, built on the first call and shared by every later
+    caller in the process: parse with it, but do not add to it."""
     parser = argparse.ArgumentParser(
         prog="aplang",
         description=(

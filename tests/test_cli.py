@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -45,6 +46,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env(**extra):
+    """The environment for a fresh interpreter that imports this package."""
+    package_root = str(Path(aplang.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 # --- filter-word -------------------------------------------------------------
@@ -616,11 +624,9 @@ def test_unknown_claim_is_rejected_before_any_claim_runs(monkeypatch):
 )
 def test_verify_runs_without_asserts(claim, code):
     # python -O strips assert statements; the verdicts must not change
-    package_root = str(Path(aplang.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
         [sys.executable, "-O", "-m", "aplang", "verify", claim],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=fresh_env(),
         capture_output=True,
         text=True,
     )
@@ -679,8 +685,6 @@ def test_verify_thm4_seed_flag(capsys):
 def test_stdout_does_not_depend_on_hash_seed(tmp_path):
     src = tmp_path / "b_ab_star.json"
     save_dfa(b_ab_star_dfa(), str(src))
-    package_root = str(Path(aplang.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     for argv, code in (
         (["enumerate-filtrations", str(src), "strong", "--format", "json"], 0),
         (["diag-nfa", str(src)], 0),
@@ -689,10 +693,104 @@ def test_stdout_does_not_depend_on_hash_seed(tmp_path):
         runs = [
             subprocess.run(
                 [sys.executable, "-m", "aplang", *argv],
-                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                env=fresh_env(PYTHONHASHSEED=seed),
                 capture_output=True,
             )
             for seed in ("0", "1")
         ]
         assert [r.returncode for r in runs] == [code, code], argv
         assert runs[0].stdout == runs[1].stdout and runs[0].stdout, argv
+
+
+# --- one parser per process -----------------------------------------------------
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "ab_star.json"
+    save_dfa(ab_star_dfa(), str(src))
+    main(["diag", "absorbent"])  # the first call may build the parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (
+        ["filter-word", "theorem", "2", "0"],
+        ["filter-lang", str(src), "2", "0"],
+        ["enumerate-filtrations", str(src), "strong"],
+        ["diag", "absorbent"],
+        ["diag-nfa", str(src)],
+        ["verify", "thm3"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == []
+
+
+def test_main_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    # each flag is set in one call and left out of the next; the in-process
+    # sequence must read exactly like one fresh process per command
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    dfa, out = str(tmp_path / "ab_star.json"), str(tmp_path / "out.json")
+    save_dfa(ab_star_dfa(), dfa)
+    sequence = [
+        ["verify", "thm4", "--seed", "7"],
+        ["verify", "thm4"],
+        ["verify", "thm1", "--seed", "7"],  # thm1's report shows its seed
+        ["verify", "thm1"],
+        ["verify", "thm3", "--format", "json"],
+        ["verify", "thm3"],
+        ["filter-word", "w", "0", "0"],  # usage error
+        ["enumerate-filtrations", dfa, "strong", "--max-len", "2"],
+        ["enumerate-filtrations", dfa, "strong"],
+        ["no-such-command"],
+        ["filter-lang", dfa, "2", "0", "--out", out],
+        ["filter-lang", dfa, "2", "0"],
+        ["verify", "thm5", "--deep"],
+        ["verify", "thm5"],
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        # stderr is compared for usage errors only: verify times itself there
+        in_process.append((code, captured.out, captured.err if code == 2 else None))
+    fresh = []
+    for argv in sequence:
+        run = subprocess.run(
+            [sys.executable, "-m", "aplang", *argv],
+            env=fresh_env(),
+            capture_output=True,
+            text=True,
+        )
+        fresh.append((run.returncode, run.stdout, run.stderr if run.returncode == 2 else None))
+    assert [c for c, _, _ in in_process] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0]
+    for argv, got, expected in zip(sequence, in_process, fresh):
+        assert got == expected, argv
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a parser built at import would move its cost into every importer's start-up
+    script = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import aplang.cli
+print(len(built))
+aplang.cli.build_parser()
+print(len(built))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True
+    )
+    assert (run.returncode, run.stdout.split()) == (0, ["0", "7"])
