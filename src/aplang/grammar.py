@@ -500,81 +500,95 @@ def count_thm5_by_length(
     others, so a count vector over positions 0..total_len (ways[pos]: the
     member prefixes that end just before pos) is pushed through each block
     in turn and summed over the block's count c.  The block's first letter
-    with exactly 3c+1 zeros shifts the vector; each later letter with a run
-    of at least one zero adds its count to a range of end positions, as
-    far as zero_end allows, through a difference array.  The member ends
-    with j at total_len - 1.  The count loop stops at the first c with
-    3c+2 > room, the longest first-letter shift zero_end leaves any start
-    that has ways and that the pins allow the first letter at: every
-    larger c needs a longer shift still, so its vector is all zero and
-    the stop is exact.  Only the vectors at block boundaries are
-    kept: the member is rebuilt backwards, one block at a time, from that
-    block's unit vectors recomputed for the chosen c.
+    with exactly 3c+1 zeros shifts the vector by 3c+2 (B_c).  Each later
+    letter takes a run of at least one zero, as far as zero_end allows: a
+    running sum, over the stretches between pinned letters, of the vector
+    masked where the pins forbid that letter (R_Y for the second letter,
+    R_Z for the repeated one).  A block of count c ends with
+    R_Z^(c-2) R_Y B_c, one R_Z more than a block of count c-1, so the sum
+    over c is taken by Horner's rule from the largest c down,
+    acc = R_Y(B_c ways) + R_Z(acc), one running sum of both masked
+    vectors, and the block ends with R_Z(acc).  That is one shift and one
+    running sum per count, where each count on its own would take c-1.
+    The counts run from 3 up to the largest c with 3c+2 <= room, the
+    longest first-letter shift zero_end leaves any start that has ways
+    and that the pins allow the first letter at: every larger c needs a
+    longer shift still, so its B_c vector is all zero and the bound is
+    exact.  The member ends with j at total_len - 1.
+
+    For each c a block keeps seconds, the ways to place the second letter
+    of a block of count c at each position, and repeats, the ways to
+    place a repeated letter with c-3 more after it (acc masked for that
+    letter).  The member is rebuilt backwards, one block at a time, from
+    those vectors alone.  Each letter starts at the least position whose
+    run reaches the next letter: the last repeated letter from repeats at
+    c = 3, and each one before it from seconds at the same c when that
+    holds such a position, which fixes c, or else from repeats at c+1.
     """
     pinned, zero_end = _thm5_pins(total_len, diag_prefilter)
+    pins = [(pos, ch) for pos, ch in enumerate(pinned) if ch is not None]
+    # the stretches [s, e) between pinned non-zero letters: every start p
+    # in one has zero_end[p + 1] == e
+    cuts = [0] + [pos for pos, ch in pins if pos and ch != "0"] + [total_len]
+    stretches = list(zip(cuts, cuts[1:]))
 
-    def block_counts(ways: list[int], block: tuple[str, str, str]) -> range:
-        """The counts c >= 3 with 3c+2 <= room and 5c + 31 <= total_len (5c
-        symbols for this block, 15 for each other one, then j)."""
-        starts = (p for p in range(total_len) if ways[p] and pinned[p] in (None, block[0]))
-        room = max((zero_end[p + 1] - p for p in starts), default=0)
-        return range(3, min((total_len - 31) // 5, (room - 2) // 3) + 1)
+    def masked(ways: list[int], letter: str) -> list[int]:
+        """ways, in place, with 0 wherever the pins forbid letter."""
+        for pos, ch in pins:
+            if ch != letter:
+                ways[pos] = 0
+        return ways
 
-    def run_letters(block: tuple[str, str, str], c: int) -> tuple[str, ...]:
-        """The block's letters that take a run of at least one zero."""
-        return (block[1],) + (block[2],) * (c - 2)
-
-    def unit_vectors(ways: list[int], block: tuple[str, str, str], c: int) -> Iterator[list[int]]:
-        """The vectors after each unit of a block with count c."""
-        shift = 3 * c + 2
-        ways_out = [0] * (total_len + 1)
-        for pos in range(total_len - shift + 1):
-            if ways[pos] and pinned[pos] in (None, block[0]) and pos + shift <= zero_end[pos + 1]:
-                ways_out[pos + shift] = ways[pos]
-        yield ways_out
-        for letter in run_letters(block, c):
-            ways = ways_out
-            diff = [0] * (total_len + 2)
-            for pos in range(total_len - 1):
-                if ways[pos] and pinned[pos] in (None, letter):
-                    diff[pos + 2] += ways[pos]
-                    diff[zero_end[pos + 1] + 1] -= ways[pos]
-            ways_out = list(accumulate(diff[: total_len + 1]))
-            yield ways_out
-
-    def block_end(ways: list[int], block: tuple[str, str, str], c: int) -> list[int]:
-        """The vector after the block, or an all-zero one as soon as a
-        unit leaves no way through."""
-        out = ways
-        for out in unit_vectors(ways, block, c):
-            if not any(out):
-                break
+    def run_ends(starts: list[int]) -> list[int]:
+        """The vector after a letter placed with starts[p] ways at each p
+        and followed by a run of at least one zero: p reaches p+2 up to
+        zero_end[p + 1]."""
+        out = [0] * (total_len + 1)
+        for s, e in stretches:
+            out[s + 2 : e + 1] = accumulate(starts[s : e - 1])
         return out
 
-    boundaries = [[1] + [0] * total_len]
-    for block in _THM5_BLOCKS:
-        total = [0] * (total_len + 1)
-        for c in block_counts(boundaries[-1], block):
-            total = [x + y for x, y in zip(total, block_end(boundaries[-1], block, c))]
-        boundaries.append(total)
+    def lead(starts: list[int], end: int) -> Optional[int]:
+        """The least p with starts[p] whose run reaches end, if any."""
+        return next((p for p in range(end - 1) if starts[p] and end <= zero_end[p + 1]), None)
+
+    ways = [1] + [0] * total_len
+    kept: list[list[tuple[int, list[int], list[int]]]] = []
+    for first, second, repeated in _THM5_BLOCKS:
+        firsts = masked(ways, first)
+        room = max((zero_end[p + 1] - p for p in range(total_len) if firsts[p]), default=0)
+        steps: list[tuple[int, list[int], list[int]]] = []
+        repeats = [0] * (total_len + 1)
+        # every c from the largest down to 3 with 3c+2 <= room and
+        # 5c + 31 <= total_len (5c symbols here, 15 per other block, then j)
+        for c in range(min((total_len - 31) // 5, (room - 2) // 3), 2, -1):
+            shift = 3 * c + 2
+            seconds = [0] * (total_len + 1)
+            for s, e in stretches:
+                if s + shift <= e:
+                    seconds[s + shift : e + 1] = firsts[s : e - shift + 1]
+            masked(seconds, second)
+            # the largest count has no repeated letters after it to add
+            starts = [x + y for x, y in zip(seconds, repeats)] if steps else seconds
+            repeats = masked(run_ends(starts), repeated)
+            steps.append((c, seconds, repeats))
+        kept.append(steps)
+        ways = run_ends(repeats)
     end = total_len - 1
-    count = boundaries[-1][end] if end >= 0 and pinned[end] in (None, "j") else 0
+    count = ways[end] if end >= 0 and pinned[end] in (None, "j") else 0
     if not count:
         return 0, None
 
     pieces = ["j"]
-    for block, ways in zip(reversed(_THM5_BLOCKS), reversed(boundaries[:-1])):
-        c = next(c for c in block_counts(ways, block) if block_end(ways, block, c)[end])
-        # the vectors before each run letter: after the first letter's run,
-        # then after each run letter but the last
-        befores = list(unit_vectors(ways, block, c))[:-1]
-        for letter, before in zip(reversed(run_letters(block, c)), reversed(befores)):
-            start = next(
-                p for p in range(end - 1)
-                if before[p] and pinned[p] in (None, letter) and end <= zero_end[p + 1]
-            )
-            pieces.append(letter + "0" * (end - start - 1))
+    for (first, second, repeated), steps in zip(reversed(_THM5_BLOCKS), reversed(kept)):
+        for c, seconds, repeats in reversed(steps):
+            start = lead(repeats, end)
+            pieces.append(repeated + "0" * (end - start - 1))
             end = start
-        end -= 3 * c + 2
-        pieces.append(block[0] + "0" * (3 * c + 1))
+            start = lead(seconds, end)
+            if start is not None:
+                break
+        pieces.append(second + "0" * (end - start - 1))
+        end = start - (3 * c + 2)
+        pieces.append(first + "0" * (3 * c + 1))
     return count, "".join(reversed(pieces))

@@ -2,6 +2,7 @@
 three built-in pattern languages with their independent checks."""
 
 import gc
+import math
 import random
 import re
 import signal
@@ -591,6 +592,55 @@ def test_counter_finds_the_realizable_169_forms_the_enumerator_finds():
             if assert_counter_matches_enumerator(169, pattern):
                 realizable.add(pattern)
     assert realizable == {"abccdeffghiij"}
+
+
+def closed_form_thm5_count(length: int) -> int:
+    """The members of an exact length, by counting shapes: counts m, n, p
+    fix 4c+1 symbols per block and j, and the m+n+p-3 variable zero runs
+    share the other zeros, at least one each."""
+    total = 0
+    top = (length - 1) // 5  # the largest m+n+p that leaves each run a zero
+    for m in range(3, top - 5):
+        for n in range(3, top - m - 2):
+            for p in range(3, top - m - n + 1):
+                zeros = length - 1 - sum(4 * c + 1 for c in (m, n, p))
+                runs = m + n + p - 3
+                total += math.comb(zeros - 1, runs - 1)
+    return total
+
+
+def test_counter_matches_the_closed_form_unfiltered():
+    lengths = [*range(201), 400, 625]
+    for length in lengths:
+        count, member = count_thm5_by_length(length)
+        assert count == closed_form_thm5_count(length), length
+        if count:
+            assert len(member) == length and in_thm5(member)
+        else:
+            assert member is None
+    assert closed_form_thm5_count(64) == 155305
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_counter_realizes_only_the_staircase_among_the_candidate_forms(t):
+    # every split of 3t run letters over c, f and i, at |y| = (3t+7)^2
+    from aplang.diag import diag_word
+
+    length = (3 * t + 7) ** 2
+    realizable = set()
+    forms = 0
+    for t1 in range(1, 3 * t - 1):
+        for t2 in range(1, 3 * t - t1):
+            t3 = 3 * t - t1 - t2
+            form = "ab" + "c" * t1 + "de" + "f" * t2 + "gh" + "i" * t3 + "j"
+            forms += 1
+            _, member = count_thm5_by_length(length, form)
+            if member is not None:
+                assert len(member) == length and in_thm5(member)
+                assert diag_word(member) == form
+                realizable.add(form)
+    assert forms == math.comb(3 * t - 1, 2)
+    assert realizable == {"ab" + "c" * t + "de" + "f" * t + "gh" + "i" * t + "j"}
 
 
 # --- concatenation structure -------------------------------------------------------
