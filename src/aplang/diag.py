@@ -86,6 +86,21 @@ def diag_oracle_accepts(d: Dfa, w: Word) -> bool:
     return not node[0].isdisjoint(d.accepting)
 
 
+def diag_oracle_words(d: Dfa, t: int) -> set[Word]:
+    """The words of length t that diag_oracle_accepts accepts, from one
+    _SourceWalk(d, t+1) stepped over the tree of words of length t, so
+    each prefix is stepped once rather than once per word that extends it.
+    """
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    walk = _SourceWalk(d, t + 1)
+    symbols = range(len(d.alphabet))
+    level: list[tuple[Word, tuple[frozenset[int], int]]] = [((), (frozenset((d.start,)), 0))]
+    for _ in range(t):
+        level = [(w + (c,), walk.step(node, c)) for w, node in level for c in symbols]
+    return {w for w, (states, _) in level if not states.isdisjoint(d.accepting)}
+
+
 def diag_oracle_exhaustive(d: Dfa, t: int) -> set[Word]:
     """Diagonals of every accepted word of length t*t.
 

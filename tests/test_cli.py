@@ -485,7 +485,7 @@ REFUTATIONS = [
         # the grammar has no word of length 4, so only a walk that compares
         # the empty lengths too sees the extra pattern word
         verify_thm2, {},
-        {"_thm2_pattern_words": lambda real: lambda n: real(n) | ({"1023"} if n == 4 else set())},
+        {"_thm2_pattern_words": lambda real: lambda n: [*real(n), *["1023"] * (n == 4)]},
         "a=2: grammar enumeration and pattern enumeration differ",
         id="thm2-enumerations-differ-at-an-empty-length",
     ),
@@ -517,10 +517,19 @@ REFUTATIONS = [
         id="thm3-longest-all-one",
     ),
     pytest.param(
-        verify_thm4, {}, {"diag_oracle_accepts": lambda real: lambda d, w: False},
+        verify_thm4, {}, {"diag_oracle_words": lambda real: lambda d, t: set()},
         "fixed witness {abba}, word 'aa': nfa=True, walk oracle=False, "
         "literal oracle=True",
         id="thm4-three-way",
+    ),
+    pytest.param(
+        # every word disagrees at t = 1; the least one is named, the word a
+        # loop over the words in order meets first
+        verify_thm4, {},
+        {"diag_oracle_words": lambda real: lambda d, t: {(c,) * t for c in range(len(d.alphabet))}},
+        "fixed witness {abba}, word 'a': nfa=False, walk oracle=True, "
+        "literal oracle=False",
+        id="thm4-least-witness",
     ),
     pytest.param(
         verify_thm4, {},

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from aplang.automata import Dfa
 from aplang.boolmat import BoolMatrix, incidence_matrices, power_orbit
-from aplang.diag import build_diag_nfa, diag_oracle_accepts, diag_oracle_exhaustive, diag_word
+from aplang.diag import (
+    build_diag_nfa,
+    diag_oracle_accepts,
+    diag_oracle_exhaustive,
+    diag_oracle_words,
+    diag_word,
+)
 from aplang.verification import _gap_after_accepts, random_dfa
 
 from conftest import (
@@ -182,6 +188,33 @@ def test_exhaustive_oracle_matches_the_literal_definition():
 def test_exhaustive_oracle_rejects_t_below_one():
     with pytest.raises(ValueError):
         diag_oracle_exhaustive(universal_dfa(), 0)
+
+
+def _word_oracle_pool() -> list[Dfa]:
+    rng = random.Random(39)
+    pool = [random_dfa(rng, 5, min_symbols=1, max_symbols=3) for _ in range(20)]
+    return [single_word_dfa("abba", AB), *pool]
+
+
+def test_words_oracle_is_the_walk_oracle_per_length():
+    # one walk over the tree of words of length t accepts exactly the
+    # words the per-word walk accepts
+    for d in _word_oracle_pool():
+        k = len(d.alphabet)
+        for t in range(1, 6):
+            expected = {w for w in product(range(k), repeat=t) if diag_oracle_accepts(d, w)}
+            assert diag_oracle_words(d, t) == expected, (d, t)
+
+
+def test_words_oracle_matches_the_literal_oracle():
+    for d in _word_oracle_pool():
+        for t in range(1, 5):
+            assert diag_oracle_words(d, t) == diag_oracle_exhaustive(d, t), (d, t)
+
+
+def test_words_oracle_rejects_t_below_one():
+    with pytest.raises(ValueError):
+        diag_oracle_words(universal_dfa(), 0)
 
 
 # --- agreement properties ------------------------------------------------------

@@ -463,8 +463,13 @@ def test_thm1_builds_once_per_automaton_and_step(monkeypatch):
     result = verify_thm1(pool_size=3, finiteness_pool=0)
     assert result.outcome == "PASS"
     assert "60 cells agree exactly" in result.details[0]
-    # 3 automata x steps 1..4, each build with a start node per offset 0..4
-    assert calls == [5] * 12
+    # one build per distinct step half of steps 1..4 of each of the 3
+    # automata, each with a start node per offset 0..4
+    rng = random.Random(DEFAULT_SEED)
+    halves = [FilteredAutomata(random_dfa(rng, 5)).step_half for _ in range(3)]
+    distinct = sum(len({half(a) for a in range(1, 5)}) for half in halves)
+    assert calls == [5] * distinct
+    assert distinct < 12  # steps with equal halves share one build
 
 
 def test_thm1_fails_with_the_word_set_witness(monkeypatch):
@@ -542,8 +547,10 @@ def test_thm1_probes_the_whole_doubled_window(monkeypatch, half):
         return (0, 0) if step == 2 * windows[-1][0] + 1 else step_half(automata, step)
 
     def last_offset_half(automata, offset):
-        # the empty row with no empty word: the language is {}
-        return (0, False) if offset == 2 * windows[-1][1] - 1 else offset_half(automata, offset)
+        # the real start row with the empty-word bit flipped; an empty row
+        # would add the empty vector to the shared build, past the bound
+        row, eps_in = offset_half(automata, offset)
+        return (row, eps_in != (offset == 2 * windows[-1][1] - 1))
 
     monkeypatch.setattr(aplang.verification, "enumeration_window", recorded)
     if half == "step":
@@ -562,17 +569,42 @@ def test_thm1_probes_the_whole_doubled_window(monkeypatch, half):
     )
 
 
+def test_thm1_doubled_window_forms_are_the_one_start_forms(monkeypatch):
+    # the doubled window shares one build per step half among its offset
+    # halves; each pair's form must be the one its own one-start build
+    # minimizes to
+    seen = []
+    forms_by_halves = aplang.verification._forms_by_halves
+
+    def recorded(automata, step_halves, offset_halves):
+        seen.append((automata, forms_by_halves(automata, step_halves, offset_halves)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(aplang.verification, "_forms_by_halves", recorded)
+    assert verify_thm1().outcome == "PASS"
+    assert len(seen) == 20
+    for automata, form in seen:
+        for (step_half, offset_half), dfa in form.items():
+            assert dfa == automata.build(step_half, [offset_half]).minimized()
+
+
 def test_thm1_fails_on_a_finiteness_build_past_the_subset_bound(monkeypatch, capsys):
-    # only the finiteness pool builds with one start node (its atlas and
-    # its doubled window): a build there past the bound is a FAIL that
-    # names the automaton, not an internal error
-    build = FilteredAutomata.build
+    # a build of the finiteness pool (its atlas or its doubled window),
+    # which starts once the pool reads its first window, past the bound
+    # is a FAIL that names the automaton, not an internal error
+    build, window = FilteredAutomata.build, aplang.verification.enumeration_window
+    windows = []
+
+    def recorded(d):
+        windows.append(window(d))
+        return windows[-1]
 
     def over_bound(automata, step_half, offset_halves):
-        if len(offset_halves) == 1:
+        if windows:
             raise RuntimeError("9 vector states exceed the subset bound 2^3 - 1")
         return build(automata, step_half, offset_halves)
 
+    monkeypatch.setattr(aplang.verification, "enumeration_window", recorded)
     monkeypatch.setattr(FilteredAutomata, "build", over_bound)
     result = verify_thm1(pool_size=2, finiteness_pool=2)
     assert result.outcome == "FAIL"
@@ -580,6 +612,7 @@ def test_thm1_fails_on_a_finiteness_build_past_the_subset_bound(monkeypatch, cap
         "automaton 0 of the finiteness pool: 9 vector states exceed the subset bound 2^3 - 1"
     )
     assert not any(line.startswith("state bound") for line in result.details)
+    windows.clear()
     assert main(["verify", "thm1"]) == 1
     out = capsys.readouterr().out
     assert "thm1: FAIL" in out

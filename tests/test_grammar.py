@@ -319,7 +319,9 @@ def test_thm2_source_counts_are_pinned():
     # the sources verify thm2 lists for a = 1..5, to length a(a+1)
     counts = [len(enumerate_cfg_words(THM2_GRAMMAR, a * (a + 1))) for a in range(1, 6)]
     assert counts == [0, 2, 27, 594, 27200]
-    sizes = [sum(len(_thm2_pattern_words(n)) for n in range(a * (a + 1) + 1)) for a in range(1, 6)]
+    sizes = [
+        sum(len(set(_thm2_pattern_words(n))) for n in range(a * (a + 1) + 1)) for a in range(1, 6)
+    ]
     assert sizes == counts
     # and per exact length at bound 30, from the grammar and the pattern
     per_length = [
@@ -328,15 +330,23 @@ def test_thm2_source_counts_are_pinned():
     ]
     stream = enumerate_cfg_words_by_length(THM2_GRAMMAR, 30)
     assert [(n, len(words)) for n, words in stream] == list(enumerate(per_length))
-    assert [len(_thm2_pattern_words(n)) for n in range(31)] == per_length
+    assert [len(set(_thm2_pattern_words(n))) for n in range(31)] == per_length
     for n, words in enumerate_cfg_words_by_length(THM2_GRAMMAR, 30):
-        assert words == _thm2_pattern_words(n), n
+        assert words == set(_thm2_pattern_words(n)), n
+
+
+def test_thm2_pattern_words_are_yielded_once():
+    # verify thm2 removes each pattern word from the grammar's set, so a
+    # word yielded twice would be reported as a difference
+    for n in range(31):
+        words = list(_thm2_pattern_words(n))
+        assert len(words) == len(set(words)), n
 
 
 @pytest.mark.parametrize("length", range(11))
 def test_thm2_pattern_words_are_the_short_members(length):
     members = {"".join(t) for t in product("0123", repeat=length) if in_thm2("".join(t))}
-    assert _thm2_pattern_words(length) == members
+    assert set(_thm2_pattern_words(length)) == members
 
 
 def test_thm2_predicates_agree_with_regular_expressions():

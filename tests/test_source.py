@@ -40,7 +40,7 @@ def test_word_oracles_share_nothing_with_the_construction():
             },
         ),
         "diag.py": (
-            {"diag_oracle_accepts", "diag_oracle_exhaustive"},
+            {"diag_oracle_accepts", "diag_oracle_exhaustive", "diag_oracle_words"},
             {
                 "BoolMatrix",
                 "FilteredAutomata",
@@ -72,7 +72,7 @@ def test_oracles_walk_the_source_as_given():
     # every claim also checks the minimization
     oracles = {
         "filtration.py": {"_SourceWalk", "filtered_language_oracle", "first_disagreements"},
-        "diag.py": {"diag_oracle_accepts", "diag_oracle_exhaustive"},
+        "diag.py": {"diag_oracle_accepts", "diag_oracle_exhaustive", "diag_oracle_words"},
     }
     quotient = {"minimized", "language_classes", "canonical_from", "equivalent"}
     for module, names in oracles.items():
