@@ -4,7 +4,8 @@ Words are tuples of symbol indices into an Alphabet.  Every automaton is
 immutable after construction and every operation is a pure function, so
 values can be shared freely.  minimized() returns a canonical record:
 two DFAs over the same alphabet accept the same language iff their
-minimized forms compare equal.
+minimized forms compare equal.  forms computes them, for any number of
+start states, from one Moore refinement per DFA.
 
 explore is the one place where built states get their numbers: each
 construction (subsets, canonical DFAs, filtered automata, the diagonal,
@@ -193,44 +194,45 @@ class Dfa:
         """Unique minimal complete DFA in canonical form: states renumbered
         by breadth-first discovery order from the start state, scanning
         symbols in alphabet order."""
-        reachable, _ = explore((self.start,), self.delta.__getitem__)
-        return self.canonical_from(self.language_classes(reachable), self.start)
+        # forms refines every state, and an input DFA may have many unreachable ones
+        reachable, rows = explore((self.start,), self.delta.__getitem__)
+        accepting = (i for i, q in enumerate(reachable) if q in self.accepting)
+        return Dfa(self.alphabet, len(rows), 0, accepting, rows).forms((0,))[0]
 
-    def language_classes(self, states: Iterable[int]) -> dict[int, int]:
-        """Moore partition refinement: a class number for each given state,
-        equal exactly when the states accept the same language.  The given
-        states must be closed under the transitions."""
-        states = list(states)
-        delta = self.delta
-        block = {q: (0 if q in self.accepting else 1) for q in states}
-        count = len(set(block.values()))
+    def forms(self, starts: Iterable[int]) -> list["Dfa"]:
+        """The canonical minimal DFA of the language accepted from each of
+        `starts`, in order.  One Moore partition refinement over every
+        state gives each state's language class; each class met among
+        `starts` is read off once, one state per class, numbered in
+        breadth-first discovery order from the start's class, scanning
+        symbols in alphabet order."""
+        delta, states = self.delta, range(self.size)
+        block = [0 if q in self.accepting else 1 for q in states]
+        count = len(set(block))
         while True:
             relabel: dict[tuple, int] = {}
-            block = {
-                q: relabel.setdefault(
-                    (block[q], tuple(block[t] for t in delta[q])), len(relabel)
-                )
+            block = [
+                relabel.setdefault((block[q], tuple(block[t] for t in delta[q])), len(relabel))
                 for q in states
-            }
+            ]
             if len(relabel) == count:
-                return block
+                break
             count = len(relabel)
 
-    def canonical_from(self, classes: Mapping[int, int], start: int) -> "Dfa":
-        """The canonical minimal DFA of the language accepted from `start`,
-        given the language classes of every state reachable from it: one
-        state per class, numbered in breadth-first discovery order from
-        `start`'s class, scanning symbols in alphabet order."""
-        delta = self.delta
-        # rep[b]: the first state of class b met, which stands for the class
-        rep = {classes[start]: start}
-
-        def successors(q: int) -> list[int]:
-            return [rep.setdefault(classes[t], t) for t in delta[q]]
-
-        reps, rows = explore((start,), successors)
-        accepting = frozenset(i for i, q in enumerate(reps) if q in self.accepting)
-        return Dfa(self.alphabet, len(reps), 0, accepting, tuple(rows))
+        form: dict[int, Dfa] = {}
+        out = []
+        for start in starts:
+            c = block[start]
+            if c not in form:
+                # rep[b]: the first state of class b met, which stands for the class
+                rep = {c: start}
+                reps, rows = explore(
+                    (start,), lambda q: [rep.setdefault(block[t], t) for t in delta[q]]
+                )
+                accepting = frozenset(i for i, q in enumerate(reps) if q in self.accepting)
+                form[c] = Dfa(self.alphabet, len(reps), 0, accepting, tuple(rows))
+            out.append(form[c])
+        return out
 
 
 @dataclass(frozen=True)

@@ -377,11 +377,11 @@ def enumerate_atlases(d: Dfa, families: Sequence[FilterFamily]) -> tuple[Filtrat
     languages of its members in the window, keyed by each one's first pair.
 
     Each distinct step half any family uses gets one automaton, with a
-    start node per offset half those families need there.  One Moore
-    refinement over it gives every node's language class, and each start
-    class's canonical DFA is read off once, for every family.  A last pass
-    per family over its pairs in lexicographic order keeps the first pair
-    per language, stopping once every language of the family has one.
+    start node per offset half those families need there, and Dfa.forms
+    reads every start's canonical DFA off it at once, for every family.
+    A last pass per family over its pairs in lexicographic order keeps the
+    first pair per language, stopping once every language of the family
+    has one.
     """
     automata = FilteredAutomata(d)
     step_max, offset_bound = enumeration_window(automata.source)
@@ -408,14 +408,10 @@ def enumerate_atlases(d: Dfa, families: Sequence[FilterFamily]) -> tuple[Filtrat
         # the offset half ids every family needs at this step half, first use first
         wanted = dict.fromkeys(o for use in uses for o in use.get(half, ()))
         graph = automata.build(half, [offset_halves[o] for o in wanted])
-        classes = graph.language_classes(range(graph.size))
-        by_class: dict[int, int] = {}
-        ids = language[half] = {}
-        for node, o in enumerate(wanted):
-            c = classes[node]
-            if c not in by_class:
-                by_class[c] = forms.setdefault(graph.canonical_from(classes, node), len(forms))
-            ids[o] = by_class[c]
+        language[half] = {
+            o: forms.setdefault(form, len(forms))
+            for o, form in zip(wanted, graph.forms(range(len(wanted))))
+        }
 
     canon = list(forms)
     atlases = []

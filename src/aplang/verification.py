@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .automata import Alphabet, Dfa, Word
 from .diag import (
@@ -195,9 +195,18 @@ def verify_thm1(
             step_max, offset_bound = enumeration_window(d)
             step_halves = [automata.step_half(a) for a in range(1, 2 * step_max + 2)]
             offset_halves = [automata.offset_half(b) for b in range(2 * offset_bound)]
+            # one build per distinct step half, a start node per distinct
+            # offset half: the strong family pairs every step with every offset
+            halves = list(dict.fromkeys(offset_halves))
             try:
                 atlases = enumerate_atlases(d, list(FilterFamily))
-                form_of = _forms_by_halves(automata, step_halves, offset_halves)
+                form_of = {
+                    (step_half, offset_half): form
+                    for step_half in dict.fromkeys(step_halves)
+                    for offset_half, form in zip(
+                        halves, automata.build(step_half, halves).forms(range(len(halves)))
+                    )
+                }
             except RuntimeError as exc:
                 raise _Refuted(f"automaton {i} of the finiteness pool: {exc}") from exc
             for family, atlas in zip(FilterFamily, atlases):
@@ -223,32 +232,6 @@ def verify_thm1(
         )
 
     return _timed("thm1", body)
-
-
-def _forms_by_halves(
-    automata: FilteredAutomata,
-    step_halves: Iterable[tuple[int, int]],
-    offset_halves: Iterable[tuple[int, bool]],
-) -> dict[tuple[tuple[int, int], tuple[int, bool]], Dfa]:
-    """The canonical DFA of each pair of a step half and an offset half
-    given, keyed by the pair; the strong family pairs every step with
-    every offset, so a window needs them all.  The builder reads only the
-    two halves, so each distinct step half gets one automaton with a start
-    node per distinct offset half.  One Moore refinement over it, the one
-    minimized() runs, gives every node's language class, and each start
-    class's canonical DFA is read off once."""
-    offset_halves = list(dict.fromkeys(offset_halves))
-    form: dict[tuple[tuple[int, int], tuple[int, bool]], Dfa] = {}
-    for step_half in dict.fromkeys(step_halves):
-        graph = automata.build(step_half, offset_halves)
-        classes = graph.language_classes(range(graph.size))
-        by_class: dict[int, Dfa] = {}
-        for node, offset_half in enumerate(offset_halves):
-            c = classes[node]
-            if c not in by_class:
-                by_class[c] = graph.canonical_from(classes, node)
-            form[step_half, offset_half] = by_class[c]
-    return form
 
 
 # ---------------------------------------------------------------------------

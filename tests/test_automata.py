@@ -180,14 +180,36 @@ def test_minimize_preserves_acceptance_random():
             assert m.accepts(w) == d.accepts(w)
 
 
-def test_canonical_from_any_state_is_that_start_minimized():
+def test_forms_of_every_state_are_each_start_minimized():
     # one partition of the whole automaton serves every start state
     rng = random.Random(19)
     for _ in range(20):
         d = random_dfa(rng, 6)
-        classes = d.language_classes(range(d.size))
+        forms = d.forms(range(d.size))
         for q in range(d.size):
-            assert d.canonical_from(classes, q) == replace(d, start=q).minimized()
+            assert forms[q] == replace(d, start=q).minimized()
+
+
+def test_forms_of_no_starts_is_empty(ab_star):
+    assert ab_star.forms(()) == []
+
+
+def test_forms_of_a_repeated_start_are_equal():
+    rng = random.Random(23)
+    for _ in range(10):
+        d = random_dfa(rng, 5)
+        forms = d.forms([d.start, (d.start + 1) % d.size, d.start])
+        assert forms[0] == forms[2] == d.minimized()
+
+
+def test_forms_ignore_unreachable_states():
+    # the refinement runs over every state, reachable or not; an unreachable
+    # accepting state must not split the reachable classes
+    rng = random.Random(29)
+    for _ in range(20):
+        d = random_dfa(rng, 5)
+        padded = pad_with_unreachable(pad_with_unreachable(d))
+        assert padded.forms([padded.start]) == [padded.minimized()] == [d.minimized()]
 
 
 def test_minimized_states_pairwise_distinguishable():

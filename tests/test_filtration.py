@@ -570,22 +570,26 @@ def test_thm1_probes_the_whole_doubled_window(monkeypatch, half):
 
 
 def test_thm1_doubled_window_forms_are_the_one_start_forms(monkeypatch):
-    # the doubled window shares one build per step half among its offset
-    # halves; each pair's form must be the one its own one-start build
-    # minimizes to
+    # the atlas and the doubled window share one build per step half among
+    # its offset halves; each start's form must be the one its own
+    # one-start build minimizes to
     seen = []
-    forms_by_halves = aplang.verification._forms_by_halves
+    build = FilteredAutomata.build
 
-    def recorded(automata, step_halves, offset_halves):
-        seen.append((automata, forms_by_halves(automata, step_halves, offset_halves)))
-        return seen[-1][1]
+    def recorded(automata, step_half, offset_halves):
+        graph = build(automata, step_half, offset_halves)
+        seen.append((automata, step_half, list(offset_halves), graph))
+        return graph
 
-    monkeypatch.setattr(aplang.verification, "_forms_by_halves", recorded)
+    monkeypatch.setattr(FilteredAutomata, "build", recorded)
     assert verify_thm1().outcome == "PASS"
-    assert len(seen) == 20
-    for automata, form in seen:
-        for (step_half, offset_half), dfa in form.items():
-            assert dfa == automata.build(step_half, [offset_half]).minimized()
+    monkeypatch.undo()
+    shared = [entry for entry in seen if len(entry[2]) > 1]
+    assert shared
+    for automata, step_half, offset_halves, graph in shared:
+        forms = graph.forms(range(len(offset_halves)))
+        for offset_half, form in zip(offset_halves, forms):
+            assert form == automata.build(step_half, [offset_half]).minimized()
 
 
 def test_thm1_fails_on_a_finiteness_build_past_the_subset_bound(monkeypatch, capsys):
