@@ -7,8 +7,9 @@ Standard output is byte-deterministic for fixed flags and seed; timing goes
 to stderr.
 
 ``main(argv)`` may be called many times in one process.  It builds its
-parser on the first call and reuses it; nothing else persists between
-calls.
+parser on the first call and reuses it.  The power-orbit memo
+(``boolmat.power_orbit``'s ``lru_cache``) also persists between calls;
+output depends on neither.
 """
 
 from __future__ import annotations

@@ -310,13 +310,8 @@ ZERO_N_ONE_N_GRAMMAR = Cfg.make(
 
 
 def in_0n1n(s: str) -> bool:
-    i = 0
-    while i < len(s) and s[i] == "0":
-        i += 1
-    zeros = i
-    while i < len(s) and s[i] == "1":
-        i += 1
-    return i == len(s) and len(s) == 2 * zeros
+    n = len(s) // 2
+    return s == "0" * n + "1" * n
 
 
 # ---------------------------------------------------------------------------
@@ -328,47 +323,23 @@ THM5_ALPHABET = Alphabet(tuple("abcdefghij0"))
 
 _THM5_BLOCKS = (("a", "b", "c"), ("d", "e", "f"), ("g", "h", "i"))
 
-
-def _parse_thm5_block(s: str, i: int, first: str, second: str, repeated: str) -> Optional[int]:
-    if i >= len(s) or s[i] != first:
-        return None
-    i += 1
-    run = 0
-    while i < len(s) and s[i] == "0":
-        i += 1
-        run += 1
-    if run < 10 or (run - 1) % 3:
-        return None
-    m = (run - 1) // 3
-    if i >= len(s) or s[i] != second:
-        return None
-    i += 1
-    groups = 0
-    while True:
-        run = 0
-        while i < len(s) and s[i] == "0":
-            i += 1
-            run += 1
-        if run < 1:
-            return None
-        if i < len(s) and s[i] == repeated:
-            i += 1
-            groups += 1
-        else:
-            break
-    return i if groups == m - 2 else None
+_THM5_SHAPE = re.compile("".join(f"{x}(0+){y}((?:0+{z})*)0+" for x, y, z in _THM5_BLOCKS) + "j")
 
 
 def in_thm5(s: str) -> bool:
-    """Structural parse of the three-block language (the authoritative
-    oracle; the language is context-free as a concatenation of its blocks
-    but is represented here by its pattern, not a grammar)."""
-    pos: Optional[int] = 0
-    for first, second, repeated in _THM5_BLOCKS:
-        pos = _parse_thm5_block(s, pos, first, second, repeated)
-        if pos is None:
-            return False
-    return pos == len(s) - 1 and s[pos] == "j"
+    """The three-block language by its pattern, not a grammar (the
+    authoritative oracle): one full match of the shape, whose groups per
+    block are the first zero run and the (0^+ Z) groups, each ending at a
+    letter, so a word matches in one way only.  Then each block's first
+    run has 3m+1 >= 10 zeros and exactly m-2 letters Z."""
+    m = _THM5_SHAPE.fullmatch(s)
+    if m is None:
+        return False
+    groups = m.groups()
+    return all(
+        len(run) >= 10 and len(run) % 3 == 1 and tail.count(z) == (len(run) - 1) // 3 - 2
+        for run, tail, (_, _, z) in zip(groups[::2], groups[1::2], _THM5_BLOCKS)
+    )
 
 
 def thm5_witness(t: int) -> str:

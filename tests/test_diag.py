@@ -296,6 +296,13 @@ def test_diag_states_bounded_by_orbit():
         assert nfa.size <= 1 + guesses * guesses * (1 << d.size)
 
 
+def test_a_four_state_source_has_a_19_state_minimal_diagonal():
+    # the 4-state census witness with the largest minimal diagonal DFA
+    d = Dfa(AB, 4, 0, frozenset({1, 3}), ((0, 1), (2, 3), (2, 2), (1, 2)))
+    assert d.minimized().size == 4
+    assert build_diag_nfa(d).determinize().minimized().size == 19
+
+
 def coprime_cycle_dfa(lengths: tuple[int, ...]) -> Dfa:
     """Disjoint cycles of the given lengths over {a, b}; both letters step
     one place along the cycle; start 0, accepting {0}."""

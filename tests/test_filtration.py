@@ -664,6 +664,17 @@ def test_vector_states_stay_within_the_subset_bound():
     assert exact
 
 
+def test_a_four_state_source_reaches_the_subset_bound():
+    # the 4-state census witness: the shift filter (1, 3) reaches all
+    # 2^4 - 1 vector states, and its filtered language needs 15 states
+    d = Dfa(AB, 4, 0, frozenset({0}), ((0, 1), (0, 2), (1, 3), (2, 0)))
+    assert d.minimized().size == 4
+    automata = FilteredAutomata(d)
+    built = automata.build(automata.step_half(1), [automata.offset_half(3)])
+    assert built.size - 1 == (1 << 4) - 1
+    assert build_filtered_dfa(d, ArithFilter(1, 3)).minimized().size == 15
+
+
 def test_atlas_universal_single_entry():
     for atlas in enumerate_atlases(universal_dfa(), FAMILIES):
         assert len(atlas) == 1

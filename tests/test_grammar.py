@@ -17,6 +17,7 @@ from aplang.grammar import (
     Cfg,
     THM2_ALPHABET,
     THM2_GRAMMAR,
+    THM5_ALPHABET,
     ZERO_N_ONE_N_GRAMMAR,
     ZERO_ONE_ALPHABET,
     count_thm5_by_length,
@@ -401,6 +402,25 @@ def test_in_thm5_minimal_example():
     assert not in_thm5("a" + "0" * 9 + w[11:])    # run not of the form 3m+1
     assert not in_thm5(w.replace("b0c0", "b0", 1))  # group count mismatch
     assert not in_thm5(w.replace("b", "c", 1))  # wrong letter after the long run
+    # m = 2: a 7-zero first run with no repeated letter, each other block a member's
+    assert not in_thm5("a" + "0" * 7 + "b0d" + z + "e0f0g" + z + "h0i0j")
+
+
+def test_in_thm5_agrees_with_the_enumerator_on_every_single_edit():
+    # each substitution, insertion and deletion of one symbol in every
+    # member of lengths 46..49 is a member iff the enumerator lists it
+    members = {n: set(enumerate_thm5_by_length(n)) for n in range(45, 51)}
+    letters = THM5_ALPHABET.names
+    edits = 0
+    for w in members[46] | members[47] | members[48] | members[49]:
+        for i in range(len(w) + 1):
+            near = [w[:i] + c + w[i:] for c in letters]
+            if i < len(w):
+                near += [w[:i] + c + w[i + 1 :] for c in letters] + [w[:i] + w[i + 1 :]]
+            for e in near:
+                assert in_thm5(e) == (e in members[len(e)]), e
+            edits += len(near)
+    assert edits == 94764
 
 
 def test_thm5_witness_structure():

@@ -157,6 +157,25 @@ def test_thm2_oracles_do_not_use_the_grammar():
         assert named & construction == set(), oracle
 
 
+def test_pattern_oracles_do_not_use_the_grammar_or_the_thm5_sweep():
+    # verify thm3 and thm5 check grammar words and swept members against
+    # these oracles, so neither may call a module function or name the
+    # grammar, its enumerators or the thm5 enumerator and counter
+    construction = {
+        "ZERO_N_ONE_N_GRAMMAR",
+        "enumerate_cfg_words",
+        "enumerate_cfg_words_by_length",
+        "count_thm5_by_length",
+        "enumerate_thm5_by_length",
+        "_thm5_units",
+        "_thm5_pins",
+    }
+    for oracle in ("in_thm5", "in_0n1n"):
+        reached, named = _reached("grammar.py", oracle)
+        assert reached == {oracle}
+        assert named & construction == set(), oracle
+
+
 def test_enumerator_does_not_use_cyk():
     # CYK is the enumerator's oracle on random grammars, so the enumerator
     # and the module functions it calls may not name it, its tables or the
