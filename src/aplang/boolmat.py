@@ -1,10 +1,11 @@
 """Boolean matrix semiring over automaton transition graphs.
 
-Matrices are bit-packed: row i is a single int whose bit j is entry (i, j).
-Products OR together rows selected by set bits, so the inner loops are
-word-parallel.  All values are immutable and hashable, which lets the
-eventually-periodic power orbit of a matrix be memoized once and reused by
-every construction that walks matrix powers.
+Vectors are ints: bit j is state j.  Matrices are tuples of such ints: row
+i is an int whose bit j is entry (i, j).  Products OR together rows
+selected by set bits, so the inner loops are word-parallel.  Both are
+immutable and hashable, which lets the eventually-periodic power orbit of a
+matrix be memoized once and reused by every construction that walks matrix
+powers.
 """
 
 from __future__ import annotations
@@ -14,44 +15,22 @@ from functools import lru_cache
 
 from .automata import Dfa, explore
 
+Matrix = tuple[int, ...]
 
-@dataclass(frozen=True)
-class BoolMatrix:
-    """Square boolean matrix; rows[i] holds row i with bit j = entry (i, j)."""
 
-    size: int
-    rows: tuple[int, ...]
+def rows_or(m: Matrix, bits: int) -> int:
+    """Row vector times matrix: the OR of the rows of m selected by bits."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc |= m[low.bit_length() - 1]
+        bits ^= low
+    return acc
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if self.size <= 0:
-            raise ValueError("matrix size must be positive")
-        if len(self.rows) != self.size:
-            raise ValueError("row count does not match size")
-        mask = (1 << self.size) - 1
-        for r in self.rows:
-            if r < 0 or r & ~mask:
-                raise ValueError("row has bits outside the matrix width")
 
-    @staticmethod
-    def identity(n: int) -> "BoolMatrix":
-        return BoolMatrix(n, tuple(1 << i for i in range(n)))
-
-    def rows_or(self, bits: int) -> int:
-        """Row vector times matrix: the OR of the rows selected by bits."""
-        acc = 0
-        rows = self.rows
-        while bits:
-            low = bits & -bits
-            acc |= rows[low.bit_length() - 1]
-            bits ^= low
-        return acc
-
-    def __matmul__(self, other: "BoolMatrix") -> "BoolMatrix":
-        """Boolean (OR of AND) matrix product."""
-        if other.size != self.size:
-            raise ValueError("dimension mismatch")
-        return BoolMatrix(self.size, tuple(other.rows_or(r) for r in self.rows))
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Boolean (OR of AND) matrix product a b."""
+    return tuple(rows_or(b, r) for r in a)
 
 
 @dataclass(frozen=True)
@@ -65,7 +44,7 @@ class PowerOrbit:
 
     index: int
     period: int
-    powers: tuple[BoolMatrix, ...]
+    powers: tuple[Matrix, ...]
 
     def reduce(self, k: int) -> int:
         """Position of A^k in powers; k may be arbitrarily large."""
@@ -75,37 +54,30 @@ class PowerOrbit:
             return k
         return self.index + (k - self.index) % self.period
 
-    def power(self, k: int) -> BoolMatrix:
+    def power(self, k: int) -> Matrix:
         return self.powers[self.reduce(k)]
 
 
 # Callers work through one automaton's matrix at a time, so a small bound
 # keeps every reuse while capping the memory of long-lived processes.
 @lru_cache(maxsize=32)
-def power_orbit(a: BoolMatrix) -> PowerOrbit:
+def power_orbit(a: Matrix) -> PowerOrbit:
     """Minimal (index, period) with A^(index+period) = A^index, plus all
     distinct powers, found by iterating products until the first repeat:
     the chain I, A, A^2, ... gives each power one successor, so the index
     is the number of the power that the last listed one steps to."""
-    powers, rows = explore((BoolMatrix.identity(a.size),), lambda p: (p @ a,))
+    identity = tuple(1 << i for i in range(len(a)))
+    powers, rows = explore((identity,), lambda p: (matmul(p, a),))
     (index,) = rows[-1]
     return PowerOrbit(index=index, period=len(powers) - index, powers=tuple(powers))
 
 
-def incidence_matrices(d: Dfa) -> tuple[tuple[BoolMatrix, ...], BoolMatrix]:
+def incidence_matrices(d: Dfa) -> tuple[tuple[Matrix, ...], Matrix]:
     """Per-symbol incidence matrices of a complete DFA plus their entrywise OR.
 
     Matrix c has a 1 at (i, j) iff the automaton moves from state i to state j
     on symbol c; completeness makes each of these one-hot per row.
     """
-    n = d.size
-    per_symbol = []
-    union_rows = [0] * n
-    for c in range(len(d.alphabet)):
-        rows = []
-        for q in range(n):
-            bit = 1 << d.delta[q][c]
-            rows.append(bit)
-            union_rows[q] |= bit
-        per_symbol.append(BoolMatrix(n, tuple(rows)))
-    return tuple(per_symbol), BoolMatrix(n, tuple(union_rows))
+    per_symbol = tuple(tuple(1 << row[c] for row in d.delta) for c in range(len(d.alphabet)))
+    union = tuple(sum(1 << t for t in set(row)) for row in d.delta)
+    return per_symbol, union

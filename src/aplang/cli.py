@@ -31,25 +31,23 @@ from .jsonio import dfa_to_obj, load_dfa, nfa_to_obj, save_dfa, save_nfa
 from .verification import CLAIM_IDS, DEFAULT_SEED, run_claims
 
 
-def _step(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("step a must be at least 1")
-    return value
+def _int_at_least(name: str, low: int, message: str):
+    """An argparse type for ints of at least low; argparse names it in its
+    "invalid <name> value" error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-def _offset(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("offset b must be non-negative")
-    return value
-
-
-def _length(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("max-len must be non-negative")
-    return value
+_step = _int_at_least("step", 1, "step a must be at least 1")
+_offset = _int_at_least("offset", 0, "offset b must be non-negative")
+_length = _int_at_least("max-len", 0, "max-len must be non-negative")
 
 
 @functools.cache

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterator, Optional, Sequence, TypeVar
 
 from .automata import Dfa, Word, explore
-from .boolmat import incidence_matrices, power_orbit
+from .boolmat import incidence_matrices, matmul, power_orbit, rows_or
 
 W = TypeVar("W", bound=Sequence)
 
@@ -105,7 +105,7 @@ class FilteredAutomata:
         # near[fold]: the states from which fewer than fold free letters reach acceptance
         self.near = [0]
         for p in self.orbit.powers:
-            reach = sum(1 << q for q, row in enumerate(p.rows) if row & final)
+            reach = sum(1 << q for q, row in enumerate(p) if row & final)
             self.near.append(self.near[-1] | reach)
         # _first[r]: a start node's targets r * M_c, shared by every step half
         self._first: dict[int, tuple[int, ...]] = {}
@@ -117,7 +117,7 @@ class FilteredAutomata:
         # the empty word is in iff an accepted word has at most offset letters;
         # near ends at len(powers), as no shortest accepted word is that long
         start, near = self.source.start, self.near[min(offset + 1, len(self.near) - 1)]
-        return self.orbit.power(offset).rows[start], bool(near >> start & 1)
+        return self.orbit.power(offset)[start], bool(near >> start & 1)
 
     def build(
         self, step_half: tuple[int, int], offset_halves: Sequence[tuple[int, bool]]
@@ -134,15 +134,15 @@ class FilteredAutomata:
         """
         stride, fold = step_half
         # fold the stride into per-symbol matrices so each transition is one product
-        step_syms = [self.orbit.powers[stride] @ mc for mc in self.mats]
+        step_syms = [matmul(self.orbit.powers[stride], mc) for mc in self.mats]
         first, mats = self._first, self.mats
 
         def successors(node: int | tuple[int, int]) -> Sequence[int]:
             if type(node) is int:
-                return [ms.rows_or(node) for ms in step_syms]
+                return [rows_or(ms, node) for ms in step_syms]
             row = node[1]
             if row not in first:
-                first[row] = tuple(mc.rows_or(row) for mc in mats)
+                first[row] = tuple(rows_or(mc, row) for mc in mats)
             return first[row]
 
         # a start node is keyed by its position, so equal halves keep their own node
@@ -367,7 +367,7 @@ def enumeration_window(d: Dfa) -> tuple[int, int]:
     _, m = incidence_matrices(d)
     orbit = power_orbit(m)
     final = sum(1 << q for q in d.accepting)
-    lmin = next((k for k, p in enumerate(orbit.powers) if p.rows[d.start] & final), 0)
+    lmin = next((k for k, p in enumerate(orbit.powers) if p[d.start] & final), 0)
     offset_bound = max(orbit.index, lmin) + orbit.period
     return offset_bound + orbit.period - 1, offset_bound
 

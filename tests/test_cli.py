@@ -671,6 +671,23 @@ def test_negative_max_len_is_a_usage_error(capsys):
     assert "argument --max-len: max-len must be non-negative" in err
 
 
+def test_int_argument_errors_name_the_argument(capsys):
+    for argv, message in (
+        (["filter-word", "abc", "x", "1"], "argument a: invalid step value: 'x'"),
+        (["filter-word", "abc", "0", "1"], "argument a: step a must be at least 1"),
+        (["filter-word", "abc", "1", "y"], "argument b: invalid offset value: 'y'"),
+        (["filter-word", "abc", "1", "-1"], "argument b: offset b must be non-negative"),
+        (
+            ["enumerate-filtrations", "no-such.json", "weak", "--max-len", "z"],
+            "argument --max-len: invalid max-len value: 'z'",
+        ),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n"), argv
+
+
 def test_verify_takes_no_max_len(capsys):
     # thm1 checks every word, so verify has no length to set
     with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aplang.automata import Dfa
-from aplang.boolmat import BoolMatrix, incidence_matrices, power_orbit
+from aplang.boolmat import incidence_matrices, matmul, power_orbit, rows_or
 from aplang.diag import (
     build_diag_nfa,
     diag_oracle_accepts,
@@ -140,14 +140,14 @@ def matrix_power_accepts(d: Dfa, w) -> bool:
     M^t from t plain products of the incidence matrices' union."""
     t = len(w)
     mats, m = incidence_matrices(d)
-    gap = BoolMatrix.identity(d.size)
+    gap = tuple(1 << q for q in range(d.size))
     for _ in range(t):
-        gap = gap @ m
+        gap = matmul(gap, m)
     v = 1 << d.start
     for j, s in enumerate(w):
-        v = mats[s].rows_or(v)
+        v = rows_or(mats[s], v)
         if j < t - 1:
-            v = gap.rows_or(v)
+            v = rows_or(gap, v)
     return bool(v & sum(1 << q for q in d.accepting))
 
 

@@ -676,45 +676,17 @@ def test_counter_realizes_only_the_staircase_among_the_candidate_forms(t):
 # --- concatenation structure -------------------------------------------------------
 
 
-BLOCK1 = re.compile(r"a(0+)b((?:0+c)*)(0+)")
-BLOCK2 = re.compile(r"d(0+)e((?:0+f)*)(0+)")
-BLOCK3 = re.compile(r"g(0+)h((?:0+i)*)(0+)j")
-
-
-def block_matches(regex: re.Pattern, marker: str, s: str) -> bool:
-    m = regex.fullmatch(s)
-    if not m:
-        return False
-    run = len(m.group(1))
-    if run < 10 or (run - 1) % 3:
-        return False
-    return m.group(2).count(marker) == (run - 1) // 3 - 2
-
-
-def splits_into_three_blocks(s: str) -> bool:
-    for i in range(1, len(s)):
-        if s[i] == "d":
-            for j in range(i + 1, len(s)):
-                if s[j] == "g":
-                    if (
-                        block_matches(BLOCK1, "c", s[:i])
-                        and block_matches(BLOCK2, "f", s[i:j])
-                        and block_matches(BLOCK3, "i", s[j:])
-                    ):
-                        return True
-    return False
-
-
 def test_membership_iff_three_block_split():
-    members = set()
-    for length in (46, 47, 48, 49, 50):
-        members |= set(enumerate_thm5_by_length(length))
+    # the enumerator shares no code with in_thm5, so it is the oracle for
+    # both the members and their mutations
+    by_length = {n: set(enumerate_thm5_by_length(n)) for n in range(45, 52)}
+    members = set().union(*(by_length[n] for n in range(46, 51)))
     assert members
     for w in members:
-        assert splits_into_three_blocks(w)
-    # mutations should fail both the predicate and the split search
+        assert in_thm5(w)
+    # mutations leave the language, by the predicate and by the enumerator
     sample = sorted(members)[:40]
     for w in sample:
         for bad in (w[:-1], w[1:], w.replace("d", "g", 1), w + "0"):
-            assert in_thm5(bad) == splits_into_three_blocks(bad)
+            assert in_thm5(bad) == (bad in by_length[len(bad)])
             assert not in_thm5(bad)

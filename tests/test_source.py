@@ -19,63 +19,80 @@ def test_no_assert_in_src():
     assert found == []
 
 
+# the names each module's word oracles may not touch: the matrix layer and
+# the construction built on it
+ORACLE_GUARDS = {
+    "filtration.py": (
+        {"_SourceWalk", "filtered_language_oracle", "first_disagreements"},
+        {
+            "FilteredAutomata",
+            "_first",
+            "build_filtered_dfa",
+            "explore",
+            "incidence_matrices",
+            "mats",
+            "matmul",
+            "near",
+            "offset_half",
+            "orbit",
+            "power_orbit",
+            "rows_or",
+            "step_half",
+        },
+    ),
+    "diag.py": (
+        {"diag_oracle_accepts", "diag_oracle_exhaustive", "diag_oracle_words"},
+        {
+            "FilteredAutomata",
+            "build",
+            "build_diag_nfa",
+            "explore",
+            "incidence_matrices",
+            "matmul",
+            "orbit",
+            "power_orbit",
+            "rows_or",
+        },
+    ),
+}
+
+
+def _construction_uses(source: str, oracles: set[str], construction: set[str]) -> set:
+    """(oracle, name) for every construction name an oracle's body names."""
+    tree = ast.parse(source)
+    defs = [node for node in tree.body if getattr(node, "name", None) in oracles]
+    assert {node.name for node in defs} == oracles
+    return {
+        (node.name, name)
+        for node in defs
+        for sub in ast.walk(node)
+        for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
+        if name in construction
+    }
+
+
 def test_word_oracles_share_nothing_with_the_construction():
     # an oracle only checks the construction while it stays independent of it
-    checks = {
-        "filtration.py": (
-            {"_SourceWalk", "filtered_language_oracle", "first_disagreements"},
-            {
-                "BoolMatrix",
-                "FilteredAutomata",
-                "_first",
-                "build_filtered_dfa",
-                "explore",
-                "incidence_matrices",
-                "mats",
-                "near",
-                "offset_half",
-                "orbit",
-                "power_orbit",
-                "step_half",
-            },
-        ),
-        "diag.py": (
-            {"diag_oracle_accepts", "diag_oracle_exhaustive", "diag_oracle_words"},
-            {
-                "BoolMatrix",
-                "FilteredAutomata",
-                "build",
-                "build_diag_nfa",
-                "explore",
-                "incidence_matrices",
-                "orbit",
-                "power_orbit",
-            },
-        ),
-    }
-    for module, (oracles, construction) in checks.items():
-        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
-        defs = [node for node in tree.body if getattr(node, "name", None) in oracles]
-        assert {node.name for node in defs} == oracles
-        used = {
-            (node.name, name)
-            for node in defs
-            for sub in ast.walk(node)
-            for name in (getattr(sub, "id", None), getattr(sub, "attr", None))
-            if name in construction
-        }
-        assert used == set(), module
+    for module, (oracles, construction) in ORACLE_GUARDS.items():
+        source = (SRC / module).read_text(encoding="utf-8")
+        assert _construction_uses(source, oracles, construction) == set(), module
+
+
+def test_oracle_guard_catches_a_matrix_product():
+    # the guard itself: in a scratch module whose last oracle steps its
+    # state set by rows_or, that one oracle is caught
+    for oracles, construction in ORACLE_GUARDS.values():
+        *clean, caught = sorted(oracles)
+        scratch = "".join(f"def {name}(d, w):\n    return w\n" for name in clean)
+        scratch += f"def {caught}(m, v):\n    return rows_or(m, v)\n"
+        assert _construction_uses(scratch, oracles, construction) == {(caught, "rows_or")}
 
 
 def test_oracles_walk_the_source_as_given():
     # the constructions run on the minimal DFA; the oracles must not, so
     # every claim also checks the minimization
-    oracles = {
-        "filtration.py": {"_SourceWalk", "filtered_language_oracle", "first_disagreements"},
-        "diag.py": {"diag_oracle_accepts", "diag_oracle_exhaustive", "diag_oracle_words"},
-    }
     quotient = {"minimized", "forms", "equivalent"}
-    for module, names in oracles.items():
+    for module, (names, _) in ORACLE_GUARDS.items():
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
         defs = [node for node in tree.body if getattr(node, "name", None) in names]
         assert {node.name for node in defs} == names
