@@ -480,12 +480,13 @@ def count_thm5_by_length(
     over c is taken by Horner's rule from the largest c down,
     acc = R_Y(B_c ways) + R_Z(acc), one running sum of both masked
     vectors, and the block ends with R_Z(acc).  That is one shift and one
-    running sum per count, where each count on its own would take c-1.
-    The counts run from 3 up to the largest c with 3c+2 <= room, the
-    longest first-letter shift zero_end leaves any start that has ways
-    and that the pins allow the first letter at: every larger c needs a
-    longer shift still, so its B_c vector is all zero and the bound is
-    exact.  The member ends with j at total_len - 1.
+    running sum per count, where each count on its own would take c-1.  A
+    shift or run skips a stretch whose slice holds no ways, so a pinned
+    call's work follows its live stretches.  The counts run from 3 up to the
+    largest c with 3c+2 <= room, the longest first-letter shift zero_end
+    leaves any start that has ways and that the pins allow the first letter
+    at: every larger c needs a longer shift still, so its B_c vector is all
+    zero and the bound is exact.  The member ends with j at total_len - 1.
 
     For each c a block keeps seconds, the ways to place the second letter
     of a block of count c at each position, and repeats, the ways to
@@ -516,7 +517,8 @@ def count_thm5_by_length(
         zero_end[p + 1]."""
         out = [0] * (total_len + 1)
         for s, e in stretches:
-            out[s + 2 : e + 1] = accumulate(starts[s : e - 1])
+            if any(part := starts[s : e - 1]):
+                out[s + 2 : e + 1] = accumulate(part)
         return out
 
     def lead(starts: list[int], end: int) -> Optional[int]:
@@ -536,8 +538,8 @@ def count_thm5_by_length(
             shift = 3 * c + 2
             seconds = [0] * (total_len + 1)
             for s, e in stretches:
-                if s + shift <= e:
-                    seconds[s + shift : e + 1] = firsts[s : e - shift + 1]
+                if s + shift <= e and any(part := firsts[s : e - shift + 1]):
+                    seconds[s + shift : e + 1] = part
             masked(seconds, second)
             # the largest count has no repeated letters after it to add
             starts = [x + y for x, y in zip(seconds, repeats)] if steps else seconds

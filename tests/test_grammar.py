@@ -651,7 +651,7 @@ def test_counter_matches_the_closed_form_unfiltered():
     assert closed_form_thm5_count(64) == 155305
 
 
-@pytest.mark.parametrize("t", [3, 4])
+@pytest.mark.parametrize("t", [3, 4, 5, 6])
 def test_counter_realizes_only_the_staircase_among_the_candidate_forms(t):
     # every split of 3t run letters over c, f and i, at |y| = (3t+7)^2
     from aplang.diag import diag_word
