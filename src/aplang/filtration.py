@@ -258,10 +258,12 @@ def first_disagreements(
     walk closes and agreement on the pairs it reached is agreement on
     every word.  A start node with offset step-1 is the node a kept letter
     leaves with the same states; both stand for the same words, so their
-    pairs merge soundly.  One backward search from the pairs whose
-    acceptance differs gives each pair's distance to the nearest
-    disagreement, for every start alike, and each start's witness is read
-    off greedily: take the least letter whose pair is one step nearer.
+    pairs merge soundly.  If no reached pair's acceptance differs, every
+    start agrees and the walk's predecessors are never built.  Otherwise
+    one backward search from the pairs whose acceptance differs gives each
+    pair's distance to the nearest disagreement, for every start alike,
+    and each start's witness is read off greedily: take the least letter
+    whose pair is one step nearer.
     The cost is bounded by the reachable pairs, not by the number of words.
     """
     if step < 1 or min(offsets, default=0) < 0:
@@ -274,7 +276,6 @@ def first_disagreements(
     symbols = range(len(d.alphabet))
     starts = [(i, (frozenset((d.start,)), b)) for i, b in enumerate(offsets)]
     succ: dict[tuple, tuple[tuple, ...]] = {}
-    preds: dict[tuple, list[tuple]] = {}
     todo = list(starts)
     while todo:
         pair = todo.pop()
@@ -282,11 +283,15 @@ def first_disagreements(
             continue
         q, node = pair
         succ[pair] = tuple((dfa.delta[q][c], walk.step(node, c)) for c in symbols)
-        for t in succ[pair]:
-            preds.setdefault(t, []).append(pair)
-            todo.append(t)
+        todo.extend(succ[pair])
 
     frontier = [p for p in succ if (p[0] in dfa.accepting) != walk.accepts(p[1])]
+    if not frontier:
+        return [None] * len(offsets)
+    preds: dict[tuple, list[tuple]] = {}
+    for pair, targets in succ.items():
+        for t in targets:
+            preds.setdefault(t, []).append(pair)
     dist = dict.fromkeys(frontier, 0)
     depth = 0
     while frontier:

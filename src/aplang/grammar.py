@@ -286,14 +286,17 @@ THM2_GRAMMAR = Cfg.make(
 )
 
 
-_THM2_SHAPE = re.compile(r"1(0+)2(?:0+3)+")
+_THM2_SHAPE = re.compile(r"1(0+)20[03]*3")
 
 
 def in_thm2(s: str) -> bool:
-    """1 0^n 2 (0^+ 3)^n with n >= 1: the shape by one pattern, whose first
-    group 0^n ends at index n + 1, and exactly n threes."""
+    """1 0^n 2 (0^+ 3)^n with n >= 1: the shape 1 0^n 2 0 [03]* 3 by one
+    pattern, whose first group 0^n ends at index n + 1, no "33", and
+    exactly n threes.  A run of 0s and 3s that starts with 0, ends with 3
+    and holds no 33 is exactly (0^+ 3)^+, as each 3 then follows a 0; the
+    pattern has no repeated group for the matcher to track."""
     m = _THM2_SHAPE.fullmatch(s)
-    return m is not None and s.count("3") == m.end(1) - 1
+    return m is not None and "33" not in s and s.count("3") == m.end(1) - 1
 
 
 # ---------------------------------------------------------------------------

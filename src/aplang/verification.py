@@ -211,12 +211,20 @@ def verify_thm1(
                 raise _Refuted(f"automaton {i} of the finiteness pool: {exc}") from exc
             for family, atlas in zip(FilterFamily, atlases):
                 forms = atlas.canonical_forms()
-                for f in family.window_pairs(2 * step_max + 1, 2 * offset_bound):
-                    if form_of[step_halves[f.step - 1], offset_halves[f.offset]] not in forms:
-                        raise _Refuted(
-                            f"automaton {i}, family {family.value}, {f}: "
-                            f"language missing from the atlas"
-                        )
+                # a pair's language is its halves' form: each key is tested
+                # once, at its first pair in (step, offset) order
+                seen: set[tuple] = set()
+                for a, step_half in enumerate(step_halves, 1):
+                    for b in family.offsets(a, 2 * offset_bound):
+                        key = (step_half, offset_halves[b])
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        if form_of[key] not in forms:
+                            raise _Refuted(
+                                f"automaton {i}, family {family.value}, "
+                                f"{ArithFilter(a, b)}: language missing from the atlas"
+                            )
                 atlas_sizes[family] = max(atlas_sizes.get(family, 0), len(atlas))
         # said only once the finiteness pool's builds stayed within the bound too
         result.details.append(

@@ -530,6 +530,36 @@ def test_thm1_finds_a_language_missing_from_the_atlas(monkeypatch, family):
     )
 
 
+def test_thm1_names_the_first_pair_of_each_missing_strong_language(monkeypatch):
+    # the first finiteness-pool automaton, drawn as verify_thm1 draws it
+    rng = random.Random(DEFAULT_SEED)
+    random_dfa(rng, 5)
+    d = random_dfa(rng, 5)
+    step_max, offset_bound = enumeration_window(d)
+    first_pair = {}
+    for f in FilterFamily.STRONG.window_pairs(2 * step_max + 1, 2 * offset_bound):
+        first_pair.setdefault(build_filtered_dfa(d, f).minimized(), f)
+    enumerate_all = aplang.verification.enumerate_atlases
+    (strong,) = enumerate_all(d, [FilterFamily.STRONG])
+    assert len(strong) > 1
+    for k, (_, form) in enumerate(strong.entries):
+        dropped = strong.entries[:k] + strong.entries[k + 1 :]
+
+        def without_kth(d, families):
+            return tuple(
+                replace(atlas, entries=dropped) if fam is FilterFamily.STRONG else atlas
+                for fam, atlas in zip(families, enumerate_all(d, families))
+            )
+
+        monkeypatch.setattr(aplang.verification, "enumerate_atlases", without_kth)
+        result = verify_thm1(pool_size=1, finiteness_pool=1)
+        assert result.outcome == "FAIL"
+        assert result.witness == (
+            f"automaton 0, family strong, {first_pair[form]}: "
+            f"language missing from the atlas"
+        )
+
+
 @pytest.mark.parametrize("half", ["step", "offset"])
 def test_thm1_probes_the_whole_doubled_window(monkeypatch, half):
     # a bogus half for only the doubled window's last step, or last offset,
