@@ -7,6 +7,10 @@ two DFAs over the same alphabet accept the same language iff their
 minimized forms compare equal.  forms computes them, for any number of
 start states, from one Moore refinement per DFA.
 
+The value types here and in the other modules are slotted Record
+subclasses: setting or deleting a field raises AttributeError, and ==,
+hash, repr and pickling all read the field tuple, in field order, of _key.
+
 explore is the one place where built states get their numbers: each
 construction (subsets, canonical DFAs, filtered automata, the diagonal,
 the power orbit, CYK's unit closure) numbers its reachable nodes by it.
@@ -14,7 +18,6 @@ the power orbit, CYK's unit closure) numbers its reachable nodes by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
 Word = tuple[int, ...]
@@ -46,20 +49,52 @@ def explore(
     return nodes, rows
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Record:
+    """Base of the value types: fields in __slots__, set once by _fill, read by _key."""
+
+    __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+
+class Alphabet(Record):
     """Ordered, duplicate-free sequence of printable symbol tokens."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
-        if not self.names:
+    def __init__(self, names: Iterable[str]) -> None:
+        names = tuple(names)
+        if not names:
             raise ValueError("alphabet must be nonempty")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise ValueError("alphabet tokens must be unique")
-        if any(not isinstance(t, str) or not t for t in self.names):
+        if any(not isinstance(t, str) or not t for t in names):
             raise ValueError("alphabet tokens must be nonempty strings")
+        self._fill(names)
+
+    def _key(self) -> tuple:
+        return (self.names,)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -85,33 +120,34 @@ def _check_word(alphabet: Alphabet, word: Word) -> None:
             raise ValueError(f"symbol {s} is outside the alphabet")
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """Complete deterministic automaton: delta[q][c] is defined for every
     state q and symbol c."""
 
-    alphabet: Alphabet
-    size: int
-    start: int
-    accepting: frozenset[int]
-    delta: tuple[tuple[int, ...], ...]
+    __slots__ = ("alphabet", "size", "start", "accepting", "delta")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
-        if self.size <= 0:
+    def __init__(
+        self, alphabet: Alphabet, size: int, start: int, accepting: Iterable[int], delta: Iterable
+    ) -> None:
+        accepting = frozenset(accepting)
+        delta = tuple(tuple(row) for row in delta)
+        if size <= 0:
             raise ValueError("state count must be positive")
-        if not 0 <= self.start < self.size:
+        if not 0 <= start < size:
             raise ValueError("start state out of range")
-        if not all(0 <= q < self.size for q in self.accepting):
+        if not all(0 <= q < size for q in accepting):
             raise ValueError("accepting state out of range")
-        k = len(self.alphabet)
-        if len(self.delta) != self.size or any(len(row) != k for row in self.delta):
+        k = len(alphabet)
+        if len(delta) != size or any(len(row) != k for row in delta):
             raise ValueError("transition table must be total")
-        for row in self.delta:
+        for row in delta:
             for t in row:
-                if not 0 <= t < self.size:
+                if not 0 <= t < size:
                     raise ValueError("transition target out of range")
+        self._fill(alphabet, size, start, accepting, delta)
+
+    def _key(self) -> tuple:
+        return (self.alphabet, self.size, self.start, self.accepting, self.delta)
 
     @classmethod
     def build(
@@ -235,34 +271,32 @@ class Dfa:
         return out
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(Record):
     """Nondeterministic automaton without epsilon transitions."""
 
-    alphabet: Alphabet
-    size: int
-    initial: frozenset[int]
-    accepting: frozenset[int]
-    delta: tuple[tuple[frozenset[int], ...], ...]
+    __slots__ = ("alphabet", "size", "initial", "accepting", "delta")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "initial", frozenset(self.initial))
-        object.__setattr__(self, "accepting", frozenset(self.accepting))
-        object.__setattr__(
-            self, "delta", tuple(tuple(frozenset(s) for s in row) for row in self.delta)
-        )
-        if self.size <= 0:
+    def __init__(
+        self, alphabet: Alphabet, size: int, initial: Iterable[int], accepting: Iterable[int], delta
+    ) -> None:
+        initial, accepting = frozenset(initial), frozenset(accepting)
+        delta = tuple(tuple(frozenset(s) for s in row) for row in delta)
+        if size <= 0:
             raise ValueError("state count must be positive")
-        k = len(self.alphabet)
-        if len(self.delta) != self.size or any(len(row) != k for row in self.delta):
+        k = len(alphabet)
+        if len(delta) != size or any(len(row) != k for row in delta):
             raise ValueError("transition table has the wrong shape")
-        in_range = lambda q: 0 <= q < self.size
-        if not all(in_range(q) for q in self.initial | self.accepting):
+        in_range = lambda q: 0 <= q < size
+        if not all(in_range(q) for q in initial | accepting):
             raise ValueError("state out of range")
-        for row in self.delta:
+        for row in delta:
             for targets in row:
                 if not all(in_range(t) for t in targets):
                     raise ValueError("transition target out of range")
+        self._fill(alphabet, size, initial, accepting, delta)
+
+    def _key(self) -> tuple:
+        return (self.alphabet, self.size, self.initial, self.accepting, self.delta)
 
     def accepts(self, word: Word) -> bool:
         _check_word(self.alphabet, word)

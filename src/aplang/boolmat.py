@@ -10,10 +10,9 @@ powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .automata import Dfa, explore
+from .automata import Dfa, Record, explore
 
 Matrix = tuple[int, ...]
 
@@ -33,8 +32,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(rows_or(b, r) for r in a)
 
 
-@dataclass(frozen=True)
-class PowerOrbit:
+class PowerOrbit(Record):
     """The eventually periodic power sequence of a boolean matrix.
 
     powers lists A^0 .. A^(index+period-1), which are pairwise distinct;
@@ -42,9 +40,13 @@ class PowerOrbit:
     listed range.
     """
 
-    index: int
-    period: int
-    powers: tuple[Matrix, ...]
+    __slots__ = ("index", "period", "powers")
+
+    def __init__(self, index: int, period: int, powers: tuple[Matrix, ...]) -> None:
+        self._fill(index, period, powers)
+
+    def _key(self) -> tuple:
+        return (self.index, self.period, self.powers)
 
     def reduce(self, k: int) -> int:
         """Position of A^k in powers; k may be arbitrarily large."""

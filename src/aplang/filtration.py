@@ -14,28 +14,29 @@ listing words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence, TypeVar
 
-from .automata import Dfa, Word, explore
+from .automata import Dfa, Record, Word, explore
 from .boolmat import incidence_matrices, matmul, power_orbit, rows_or
 
 W = TypeVar("W", bound=Sequence)
 
 
-@dataclass(frozen=True)
-class ArithFilter:
+class ArithFilter(Record):
     """The index progression step*i + offset, strictly increasing."""
 
-    step: int
-    offset: int
+    __slots__ = ("step", "offset")
 
-    def __post_init__(self) -> None:
-        if self.step < 1:
+    def __init__(self, step: int, offset: int) -> None:
+        if step < 1:
             raise ValueError("step must be at least 1")
-        if self.offset < 0:
+        if offset < 0:
             raise ValueError("offset must be non-negative")
+        self._fill(step, offset)
+
+    def _key(self) -> tuple:
+        return (self.step, self.offset)
 
     def __str__(self) -> str:
         return f"(a={self.step}, b={self.offset})"
@@ -319,15 +320,19 @@ def first_disagreements(
     return witnesses
 
 
-@dataclass(frozen=True)
-class FiltrationAtlas:
+class FiltrationAtlas(Record):
     """All distinct filtered languages of one family, as canonical DFAs
     keyed by the first (step, offset) pair that produced each."""
 
-    family: FilterFamily
-    entries: tuple[tuple[ArithFilter, Dfa], ...]
-    step_window: int
-    offset_window: int
+    __slots__ = ("family", "entries", "step_window", "offset_window")
+
+    def __init__(
+        self, family: FilterFamily, entries: tuple, step_window: int, offset_window: int
+    ) -> None:
+        self._fill(family, entries, step_window, offset_window)
+
+    def _key(self) -> tuple:
+        return (self.family, self.entries, self.step_window, self.offset_window)
 
     def __len__(self) -> int:
         return len(self.entries)

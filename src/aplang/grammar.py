@@ -14,19 +14,17 @@ independent oracle for every grammar-based result.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .automata import Alphabet, Word, explore
+from .automata import Alphabet, Record, Word, explore
 
 Rhs = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Cfg:
+class Cfg(Record):
     """Context-free grammar over string tokens.
 
     productions lists the rules (head, body); make orders them by head in
@@ -34,30 +32,31 @@ class Cfg:
     compare equal and hash equal, whatever the order of the mapping.
     """
 
-    terminals: Alphabet
-    nonterminals: tuple[str, ...]
-    start: str
-    productions: tuple[tuple[str, Rhs], ...]
+    __slots__ = ("terminals", "nonterminals", "start", "productions")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nonterminals", tuple(self.nonterminals))
-        object.__setattr__(
-            self, "productions", tuple((lhs, tuple(rhs)) for lhs, rhs in self.productions)
-        )
-        nts = set(self.nonterminals)
-        if len(nts) != len(self.nonterminals):
+    def __init__(
+        self, terminals: Alphabet, nonterminals: Iterable[str], start: str, productions: Iterable
+    ) -> None:
+        nonterminals = tuple(nonterminals)
+        productions = tuple((lhs, tuple(rhs)) for lhs, rhs in productions)
+        nts = set(nonterminals)
+        if len(nts) != len(nonterminals):
             raise ValueError("duplicate nonterminal names")
-        if self.start not in nts:
+        if start not in nts:
             raise ValueError("start symbol is not a declared nonterminal")
-        terms = set(self.terminals.names)
+        terms = set(terminals.names)
         if nts & terms:
             raise ValueError("terminal and nonterminal names overlap")
-        for lhs, rhs in self.productions:
+        for lhs, rhs in productions:
             if lhs not in nts:
                 raise ValueError(f"rule head {lhs!r} is not a declared nonterminal")
             for sym in rhs:
                 if sym not in nts and sym not in terms:
                     raise ValueError(f"undeclared symbol {sym!r} in a rule")
+        self._fill(terminals, nonterminals, start, productions)
+
+    def _key(self) -> tuple:
+        return (self.terminals, self.nonterminals, self.start, self.productions)
 
     @classmethod
     def make(

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterator, Optional
 
@@ -68,18 +67,18 @@ _THM1_OFFSET_LIMIT = 4
 _THM3_OFFSETS = range(7)
 
 
-@dataclass
 class ClaimResult:
-    claim: str
-    outcome: str
-    details: list[str] = field(default_factory=list)
     witness: Optional[str] = None
     elapsed: float = 0.0
 
+    def __init__(self, claim: str, outcome: str, details: Optional[list[str]] = None) -> None:
+        self.claim, self.outcome = claim, outcome
+        self.details: list[str] = [] if details is None else details
 
-@dataclass
+
 class VerificationReport:
-    results: list[ClaimResult]
+    def __init__(self, results: list[ClaimResult]) -> None:
+        self.results = results
 
     @property
     def all_pass(self) -> bool:

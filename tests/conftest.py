@@ -3,11 +3,14 @@ profile: derandomized with no example database, so every run draws the
 same examples."""
 
 import json
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import aplang
 from aplang.automata import Alphabet, Dfa, Nfa
 from aplang.jsonio import obj_to_nfa
 
@@ -30,6 +33,23 @@ def to_nfa(d: Dfa) -> Nfa:
     """The same automaton as an NFA of singleton target sets."""
     rows = tuple(tuple(frozenset((t,)) for t in row) for row in d.delta)
     return Nfa(d.alphabet, d.size, frozenset((d.start,)), d.accepting, rows)
+
+
+def with_accepting(d: Dfa, accepting) -> Dfa:
+    """d with another accepting set."""
+    return Dfa(d.alphabet, d.size, d.start, accepting, d.delta)
+
+
+def with_start(d: Dfa, start: int) -> Dfa:
+    """d with another start state."""
+    return Dfa(d.alphabet, d.size, start, d.accepting, d.delta)
+
+
+def fresh_env(**extra):
+    """The environment for a fresh interpreter that imports this package."""
+    package_root = str(Path(aplang.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def load_nfa(path: str) -> Nfa:

@@ -9,7 +9,6 @@ that claim exactly as stated and FAILs with this witness.
 """
 
 import random
-from dataclasses import replace
 from itertools import product
 
 import aplang.verification
@@ -40,7 +39,7 @@ from aplang.verification import (
     verify_thm5,
 )
 
-from conftest import AB, single_word_dfa, zeros_then_one_dfa
+from conftest import AB, single_word_dfa, with_accepting, zeros_then_one_dfa
 
 
 def report(line: str) -> None:
@@ -303,7 +302,7 @@ def test_criterion_9_mutation_dropping_eps_term_breaks_a_suite():
     oracle = filtered_language_oracle(d, f, 4)
     assert set(built.enumerate_accepted(4)) == oracle
     assert () in oracle  # the empty word is in the filtered language
-    mutated = replace(built, accepting=built.accepting - {0})
+    mutated = with_accepting(built, built.accepting - {0})
     assert set(mutated.enumerate_accepted(4)) != oracle
     report(
         "criterion 9b: PASS - dropping the empty-word acceptance term breaks "

@@ -1,7 +1,6 @@
 """DFA / NFA construction, canonical minimization, and the standard ops."""
 
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -18,6 +17,7 @@ from conftest import (
     to_nfa,
     twos_dfa,
     universal_dfa,
+    with_start,
 )
 
 
@@ -187,7 +187,7 @@ def test_forms_of_every_state_are_each_start_minimized():
         d = random_dfa(rng, 6)
         forms = d.forms(range(d.size))
         for q in range(d.size):
-            assert forms[q] == replace(d, start=q).minimized()
+            assert forms[q] == with_start(d, q).minimized()
 
 
 def test_forms_of_no_starts_is_empty(ab_star):

@@ -2,11 +2,9 @@
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -36,6 +34,7 @@ from conftest import (
     ab_star_dfa,
     b_ab_star_dfa,
     equivalent,
+    fresh_env,
     load_nfa,
     single_word_dfa,
     universal_dfa,
@@ -46,13 +45,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def fresh_env(**extra):
-    """The environment for a fresh interpreter that imports this package."""
-    package_root = str(Path(aplang.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 # --- filter-word -------------------------------------------------------------

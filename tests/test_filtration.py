@@ -2,7 +2,6 @@
 finite atlas of distinct filtered languages."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from aplang.filtration import (
     ArithFilter,
     FilterFamily,
     FilteredAutomata,
+    FiltrationAtlas,
     build_filtered_dfa,
     enumerate_atlases,
     enumeration_window,
@@ -37,6 +37,8 @@ from conftest import (
     padded_copy,
     single_word_dfa,
     universal_dfa,
+    with_accepting,
+    with_start,
     zeros_then_one_dfa,
 )
 
@@ -355,7 +357,7 @@ def test_first_disagreement_matches_word_sets_on_mutants():
         built = build_filtered_dfa(d, f)
         assert first_disagreements(d, f.step, [f.offset], built)[0] is None
         # every state is reachable, so the flip always changes the language
-        mutant = replace(built, accepting=built.accepting ^ {rng.randrange(built.size)})
+        mutant = with_accepting(built, built.accepting ^ {rng.randrange(built.size)})
         got = first_disagreements(d, f.step, [f.offset], mutant)[0]
         diff = word_set_difference(d, f, mutant, max(length, len(got)))
         assert got == shortlex_least(diff)
@@ -377,11 +379,11 @@ def test_first_disagreements_match_word_sets_per_start_on_mutants():
         length = rng.randint(0, 7)
         built = build_per_step(d, step, offsets)
         assert first_disagreements(d, step, offsets, built) == [None] * len(offsets)
-        mutant = replace(built, accepting=built.accepting ^ {rng.randrange(built.size)})
+        mutant = with_accepting(built, built.accepting ^ {rng.randrange(built.size)})
         got = first_disagreements(d, step, offsets, mutant)
         want = []
         for i, (b, w) in enumerate(zip(offsets, got)):
-            start_i = replace(mutant, start=i)
+            start_i = with_start(mutant, i)
             diff = word_set_difference(d, ArithFilter(step, b), start_i, max(length, len(w or ())))
             want.append(shortlex_least(diff))
         assert got == want
@@ -398,7 +400,7 @@ def test_first_disagreement_on_dropped_empty_word(zeros_then_one):
     f = ArithFilter(1, 2)
     built = build_filtered_dfa(zeros_then_one, f)
     assert first_disagreements(zeros_then_one, f.step, [f.offset], built)[0] is None
-    mutant = replace(built, accepting=built.accepting - {0})
+    mutant = with_accepting(built, built.accepting - {0})
     assert first_disagreements(zeros_then_one, f.step, [f.offset], mutant)[0] == ()
 
 
@@ -409,7 +411,7 @@ def test_first_disagreement_past_length_seven():
     built = build_filtered_dfa(d, f)
     assert first_disagreements(d, f.step, [f.offset], built) == [None]
     assert len(built.accepting) == 1
-    mutant = replace(built, accepting=frozenset())
+    mutant = with_accepting(built, frozenset())
     assert word_set_difference(d, f, mutant, 8) == set()
     assert first_disagreements(d, f.step, [f.offset], mutant) == [(0,) * 9]
 
@@ -418,7 +420,7 @@ def test_first_disagreement_without_a_tuple_least_word(zeros_then_one):
     # against the empty language the disagreements are 0^n 1, which have no
     # tuple-least member: the least to length 7 is 0^6 1, the shortest is 1
     f = ArithFilter(1, 0)
-    nothing = replace(build_filtered_dfa(zeros_then_one, f), accepting=frozenset())
+    nothing = with_accepting(build_filtered_dfa(zeros_then_one, f), frozenset())
     assert min(word_set_difference(zeros_then_one, f, nothing, 7)) == (0,) * 6 + (1,)
     assert first_disagreements(zeros_then_one, f.step, [f.offset], nothing) == [(1,)]
 
@@ -480,7 +482,7 @@ def test_thm1_fails_with_the_word_set_witness(monkeypatch):
 
     def flipped(automata, step_half, offset_halves):
         built = build(automata, step_half, offset_halves)
-        return replace(built, accepting=built.accepting ^ {built.size - 1})
+        return with_accepting(built, built.accepting ^ {built.size - 1})
 
     monkeypatch.setattr(FilteredAutomata, "build", flipped)
     result = verify_thm1(finiteness_pool=0)
@@ -494,10 +496,10 @@ def test_thm1_fails_with_the_word_set_witness(monkeypatch):
             d = random_dfa(rng, 5)
             for a in range(1, 5):
                 built = build_per_step(d, a, offsets)
-                mutant = replace(built, accepting=built.accepting ^ {built.size - 1})
+                mutant = with_accepting(built, built.accepting ^ {built.size - 1})
                 for b in offsets:
                     f = ArithFilter(a, b)
-                    diff = word_set_difference(d, f, replace(mutant, start=b), 7)
+                    diff = word_set_difference(d, f, with_start(mutant, b), 7)
                     yield i, d, f, shortlex_least(diff)
 
     # the witness is no longer than 7, so listing to length 7 finds it
@@ -509,6 +511,10 @@ def test_thm1_fails_with_the_word_set_witness(monkeypatch):
     )
 
 
+def _with_entries(atlas: FiltrationAtlas, entries: tuple) -> FiltrationAtlas:
+    return FiltrationAtlas(atlas.family, entries, atlas.step_window, atlas.offset_window)
+
+
 @pytest.mark.parametrize("family", list(FilterFamily))
 def test_thm1_finds_a_language_missing_from_the_atlas(monkeypatch, family):
     # (1, 0) is every family's first pair; from the second family on, its
@@ -517,7 +523,7 @@ def test_thm1_finds_a_language_missing_from_the_atlas(monkeypatch, family):
 
     def without_first(d, families):
         return tuple(
-            replace(atlas, entries=atlas.entries[1:]) if fam is family else atlas
+            _with_entries(atlas, atlas.entries[1:]) if fam is family else atlas
             for fam, atlas in zip(families, enumerate_all(d, families))
         )
 
@@ -547,7 +553,7 @@ def test_thm1_names_the_first_pair_of_each_missing_strong_language(monkeypatch):
 
         def without_kth(d, families):
             return tuple(
-                replace(atlas, entries=dropped) if fam is FilterFamily.STRONG else atlas
+                _with_entries(atlas, dropped) if fam is FilterFamily.STRONG else atlas
                 for fam, atlas in zip(families, enumerate_all(d, families))
             )
 

@@ -1,9 +1,13 @@
 """Rules the package source keeps."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import aplang
+
+from conftest import fresh_env
 
 SRC = Path(aplang.__file__).parent
 
@@ -227,3 +231,16 @@ def test_only_timed_reports_a_counterexample():
                 if attr == "witness" or (attr == "outcome" and fail):
                     found.append((top.name, attr))
     assert found == [("_timed", "outcome"), ("_timed", "witness")]
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # start-up is most of what a short command costs; the value types are
+    # plain slotted classes, so importing the package pulls in neither
+    code = (
+        "import sys, aplang, aplang.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n"
