@@ -14,8 +14,9 @@ independent oracle for every grammar-based result.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
 from math import isqrt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -358,35 +359,22 @@ def thm5_witness(t: int) -> str:
     return "".join(parts) + "j"
 
 
-def _thm5_pins(
-    total_len: int, diag_prefilter: Optional[str]
-) -> tuple[list[Optional[str]], list[int]]:
-    """The checked pin tables of a member length and diagonal prefilter (a
-    word of length t = sqrt(total_len), "?" as wildcard), which pins its
-    letters at the diagonal positions, the multiples of t + 1.
-
-    pinned[pos] is the symbol pinned at pos, or None; zero_end[pos] is the
-    first position at or after pos that may not hold a zero.
-    """
+def _thm5_pins(total_len: int, diag_prefilter: Optional[str]) -> list[tuple[int, str]]:
+    """The checked pins of a member length and diagonal prefilter (a word
+    of length t = sqrt(total_len), "?" as wildcard): (pos, symbol) for each
+    letter at its diagonal position, a multiple of t + 1, in position order."""
     if total_len < 0:
         raise ValueError("total_len must be non-negative")
-    pinned: list[Optional[str]] = [None] * (total_len + 1)
-    if diag_prefilter is not None:
-        t = isqrt(total_len)
-        if t == 0 or t * t != total_len:
-            raise ValueError("total_len is not a perfect square")
-        if len(diag_prefilter) != t:
-            raise ValueError("prefilter length must be the square root of total_len")
-        allowed = set(THM5_ALPHABET.names) | {"?"}
-        if any(ch not in allowed for ch in diag_prefilter):
-            raise ValueError("prefilter may use alphabet letters and '?' only")
-        for k, ch in enumerate(diag_prefilter):
-            if ch != "?":
-                pinned[k * (t + 1)] = ch
-    zero_end = [total_len] * (total_len + 1)
-    for pos in range(total_len - 1, -1, -1):
-        zero_end[pos] = pos if pinned[pos] not in (None, "0") else zero_end[pos + 1]
-    return pinned, zero_end
+    if diag_prefilter is None:
+        return []
+    t = isqrt(total_len)
+    if t == 0 or t * t != total_len:
+        raise ValueError("total_len is not a perfect square")
+    if len(diag_prefilter) != t:
+        raise ValueError("prefilter length must be the square root of total_len")
+    if not set(diag_prefilter) <= {*THM5_ALPHABET.names, "?"}:
+        raise ValueError("prefilter may use alphabet letters and '?' only")
+    return [(k * (t + 1), ch) for k, ch in enumerate(diag_prefilter) if ch != "?"]
 
 
 def _thm5_units(m: int, n: int, p: int, total_len: int) -> list[tuple[str, int, int]]:
@@ -411,11 +399,17 @@ def enumerate_thm5_by_length(
     A member is a sequence of letters, each followed by a zero run, so one
     recursion places a letter and then tries each feasible run length.
     With a prefilter (see _thm5_pins) a letter is placed only where the
-    pin allows it, a zero run stops before the first pinned non-zero
-    letter, and a branch stops as soon as a pinned letter ahead of it is
-    one that only earlier units hold.
+    pin allows it (pinned[pos], None if unpinned), a zero run stops before
+    the first pinned non-zero letter (zero_end[pos], the first position at
+    or after pos that may not hold a zero), and a branch stops as soon as
+    a pinned letter ahead of it is one that only earlier units hold.
     """
-    pinned, zero_end = _thm5_pins(total_len, diag_prefilter)
+    pinned: list[Optional[str]] = [None] * (total_len + 1)
+    for pos, ch in _thm5_pins(total_len, diag_prefilter):
+        pinned[pos] = ch
+    zero_end = [total_len] * (total_len + 1)
+    for pos in range(total_len - 1, -1, -1):
+        zero_end[pos] = pos if pinned[pos] not in (None, "0") else zero_end[pos + 1]
 
     # emit reads the current (m, n, p) shape: its units, the fewest symbols
     # rest[i] that units i, i+1, ... take, need[pos] (the least, over pinned
@@ -473,36 +467,38 @@ def count_thm5_by_length(
     others, so a count vector over positions 0..total_len (ways[pos]: the
     member prefixes that end just before pos) is pushed through each block
     in turn and summed over the block's count c.  The block's first letter
-    with exactly 3c+1 zeros shifts the vector by 3c+2 (B_c).  Each later
-    letter takes a run of at least one zero, as far as zero_end allows: a
-    running sum, over the stretches between pinned letters, of the vector
-    masked where the pins forbid that letter (R_Y for the second letter,
-    R_Z for the repeated one).  A block of count c ends with
-    R_Z^(c-2) R_Y B_c, one R_Z more than a block of count c-1, so the sum
-    over c is taken by Horner's rule from the largest c down,
-    acc = R_Y(B_c ways) + R_Z(acc), one running sum of both masked
-    vectors, and the block ends with R_Z(acc).  That is one shift and one
-    running sum per count, where each count on its own would take c-1.  A
-    shift or run skips a stretch whose slice holds no ways, so a pinned
-    call's work follows its live stretches.  The counts run from 3 up to the
-    largest c with 3c+2 <= room, the longest first-letter shift zero_end
-    leaves any start that has ways and that the pins allow the first letter
-    at: every larger c needs a longer shift still, so its B_c vector is all
-    zero and the bound is exact.  The member ends with j at total_len - 1.
+    with exactly 3c+1 zeros shifts the vector by 3c+2 (B_c).  The pinned
+    letters other than 0 cut the positions into stretches, and each later
+    letter takes a run of at least one zero up to its stretch's end: a
+    running sum per stretch of the vector masked where the pins forbid
+    that letter (R_Y for the second letter, R_Z for the repeated one).  A
+    block of count c ends with R_Z^(c-2) R_Y B_c, one R_Z more than a block
+    of count c-1, so the sum over c is taken by Horner's rule from the
+    largest c down, acc = R_Y(B_c ways) + R_Z(acc), one running sum of both
+    masked vectors, and the block ends with R_Z(acc).  That is one shift
+    and one running sum per count, where each count on its own would take
+    c-1.  A shift or run skips a stretch whose slice holds no ways, so a
+    pinned call's work follows its live stretches.  The counts run from 3
+    up to the largest c with 3c+2 <= room, the longest first-letter shift
+    that a stretch holds, from its first start that has ways and that the
+    pins allow the first letter at to its end: every larger c needs a
+    longer shift still, so its B_c vector is all zero and the bound is
+    exact.  The member ends with j at total_len - 1, so a pin there must
+    be j.  The counter reads only the pins and their stretches: it keeps
+    no table over positions but its count vectors.
 
     For each c a block keeps seconds, the ways to place the second letter
     of a block of count c at each position, and repeats, the ways to
     place a repeated letter with c-3 more after it (acc masked for that
     letter).  The member is rebuilt backwards, one block at a time, from
     those vectors alone.  Each letter starts at the least position whose
-    run reaches the next letter: the last repeated letter from repeats at
-    c = 3, and each one before it from seconds at the same c when that
-    holds such a position, which fixes c, or else from repeats at c+1.
+    run reaches the next letter, at or after the last cut below it: the
+    last repeated letter from repeats at c = 3, and each one before it from
+    seconds at the same c when that holds such a position, which fixes c,
+    or else from repeats at c+1.
     """
-    pinned, zero_end = _thm5_pins(total_len, diag_prefilter)
-    pins = [(pos, ch) for pos, ch in enumerate(pinned) if ch is not None]
-    # the stretches [s, e) between pinned non-zero letters: every start p
-    # in one has zero_end[p + 1] == e
+    pins = _thm5_pins(total_len, diag_prefilter)
+    # the stretches [s, e) between pinned letters other than 0
     cuts = [0] + [pos for pos, ch in pins if pos and ch != "0"] + [total_len]
     stretches = list(zip(cuts, cuts[1:]))
 
@@ -516,7 +512,7 @@ def count_thm5_by_length(
     def run_ends(starts: list[int]) -> list[int]:
         """The vector after a letter placed with starts[p] ways at each p
         and followed by a run of at least one zero: p reaches p+2 up to
-        zero_end[p + 1]."""
+        the end of its stretch."""
         out = [0] * (total_len + 1)
         for s, e in stretches:
             if any(part := starts[s : e - 1]):
@@ -525,13 +521,17 @@ def count_thm5_by_length(
 
     def lead(starts: list[int], end: int) -> Optional[int]:
         """The least p with starts[p] whose run reaches end, if any."""
-        return next((p for p in range(end - 1) if starts[p] and end <= zero_end[p + 1]), None)
+        low = cuts[bisect_left(cuts, end) - 1]
+        return next(compress(range(low, end - 1), starts[low : end - 1]), None)
 
     ways = [1] + [0] * total_len
     kept: list[list[tuple[int, list[int], list[int]]]] = []
     for first, second, repeated in _THM5_BLOCKS:
         firsts = masked(ways, first)
-        room = max((zero_end[p + 1] - p for p in range(total_len) if firsts[p]), default=0)
+        room = 0
+        for s, e in stretches:
+            if e - s > room and any(part := firsts[s:e]):
+                room = max(room, e - next(compress(range(s, e), part)))
         steps: list[tuple[int, list[int], list[int]]] = []
         repeats = [0] * (total_len + 1)
         # every c from the largest down to 3 with 3c+2 <= room and
@@ -550,7 +550,7 @@ def count_thm5_by_length(
         kept.append(steps)
         ways = run_ends(repeats)
     end = total_len - 1
-    count = ways[end] if end >= 0 and pinned[end] in (None, "j") else 0
+    count = ways[end] if end >= 0 and dict(pins).get(end, "j") == "j" else 0
     if not count:
         return 0, None
 

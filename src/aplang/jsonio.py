@@ -10,10 +10,10 @@ targets, "start" or "initial", and "accepting" must name states below
 "states", so a file cannot make the dead state accept or name it as a
 target.  Every state number must be a JSON integer; true and false are
 rejected, although Python counts them as ints.  A delta key must spell
-its state in canonical decimal ("3", not "03", "+3" or "3_0"), so no two
-keys can name the same state.  The table's cells, "states" times the
-alphabet's size, may be at most MAX_CELLS, so a small file cannot ask
-for a huge table.
+its state in canonical decimal ("3", not "03", "+3" or "3_0"), and no
+object in a loaded file may repeat a key, so no two keys can name the
+same state.  The table's cells, "states" times the alphabet's size, may
+be at most MAX_CELLS, so a small file cannot ask for a huge table.
 Top-level keys other than the format's are ignored.
 Writers always emit complete tables, so a write followed by a read
 reproduces the in-memory value exactly.
@@ -140,10 +140,21 @@ def obj_to_nfa(obj: dict) -> Nfa:
     return Nfa(alphabet, size, initial, accepting, tuple(rows))
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The object of pairs; a repeated key raises ValueError, where json
+    would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"repeated key {repeated!r} in a JSON object")
+    return obj
+
+
 def _load_json(path: str) -> Any:
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
 

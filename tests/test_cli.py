@@ -170,6 +170,27 @@ def test_aliased_state_keys_exit_2(tmp_path, capsys):
     assert err == "error: state key '00' is not a canonical decimal integer\n"
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # a repeated state key: json alone would keep the later, empty row
+        ('"delta": {"0": {"a": 0}, "0": {}}', "0"),
+        # a repeated token in one row
+        ('"delta": {"0": {"a": 0, "a": 1}}', "a"),
+        # a repeated top-level field
+        ('"delta": {"0": {"a": 0}}, "start": 0', "start"),
+    ],
+)
+def test_repeated_json_keys_exit_2(tmp_path, capsys, text, key):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"alphabet": ["a"], "states": 2, "start": 0, "accepting": [0], ' + text + "}"
+    )
+    code, out, err = run_cli(capsys, "filter-lang", str(bad), "1", "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: repeated key {key!r} in a JSON object\n"
+
+
 def test_accepting_dead_state_exits_2(tmp_path, capsys):
     # index 1 is the dead state the partial table gains, which must not accept
     obj = {"alphabet": ["a", "b"], "states": 1, "start": 0, "accepting": [1],

@@ -526,11 +526,13 @@ def test_enumerator_prefilter_validation():
         "??0?0??",  # zeros where some members have d or g
         "??d?g?j",
         "???j???",  # j before the end: no member
+        "??????i",  # a letter other than j at the last position: no member
     ],
 )
 def test_enumerator_prefilter_prunes_consistently(pattern):
     # with a prefilter the yields are exactly the unfiltered members whose
-    # diagonals match the pattern, in the unfiltered order
+    # diagonals match the pattern, in the unfiltered order, and the counter
+    # reads the same cuts, stretch ends and last pin
     from aplang.diag import diag_word
 
     full = list(enumerate_thm5_by_length(49))
@@ -542,6 +544,7 @@ def test_enumerator_prefilter_prunes_consistently(pattern):
         if all(pc in ("?", dc) for pc, dc in zip(pattern, d)):
             expected.append(w)
     assert filtered == expected
+    assert_counter_matches_enumerator(49, pattern)
 
 
 def test_enumerator_counts_the_y100_sweep():

@@ -126,8 +126,8 @@ def test_package_exports_match_all():
 
 
 def test_thm5_counter_and_enumerator_share_no_functions():
-    # the enumerator is the counter's oracle: both read the checked pin
-    # tables of _thm5_pins, and neither names a function of the other
+    # the enumerator is the counter's oracle: both read the checked pins
+    # of _thm5_pins, and neither names a function of the other
     tree = ast.parse((SRC / "grammar.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
@@ -142,6 +142,8 @@ def test_thm5_counter_and_enumerator_share_no_functions():
     assert "_thm5_units" in named("enumerate_thm5_by_length")
     assert named("count_thm5_by_length") & enumerator == set()
     assert named("enumerate_thm5_by_length") & counter == set()
+    # the counter reads the pins and their stretches, not per-position tables
+    assert named("count_thm5_by_length") & {"pinned", "zero_end"} == set()
 
 
 def _reached(module: str, fn: str) -> tuple[set[str], set[str]]:
