@@ -1,23 +1,20 @@
 """Command-line front end.
 
-Subcommands: filter-word, filter-lang, enumerate-filtrations, diag,
-diag-nfa, verify.  Exit codes: 0 success / all claims pass, 1 verification
-failure, 2 usage or parse error, 3 file I/O error, 4 internal error.
-Standard output is byte-deterministic for fixed flags and seed; timing goes
-to stderr.
-
-``main(argv)`` may be called many times in one process.  It builds its
-parser on the first call and reuses it.  The power-orbit memo
-(``boolmat.power_orbit``'s ``lru_cache``) also persists between calls;
-output depends on neither.
+Exit codes: 0 success / all claims pass, 1 verification failure, 2 usage
+or parse error, 3 file I/O error, 4 internal error.  Standard output is
+byte-deterministic for fixed flags and seed; timing goes to stderr.
+``parse_args`` reads argv in one pass against the table ``COMMANDS``,
+with argparse's rules and messages.  ``main(argv)`` may be called many
+times in one process; the power-orbit memo (``boolmat.power_orbit``'s
+``lru_cache``) persists between calls, and output does not depend on it.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .diag import build_diag_nfa, diag_word
 from .filtration import (
@@ -31,92 +28,26 @@ from .jsonio import dfa_to_obj, load_dfa, nfa_to_obj, save_dfa, save_nfa
 from .verification import CLAIM_IDS, DEFAULT_SEED, run_claims
 
 
-def _int_at_least(name: str, low: int, message: str):
-    """An argparse type for ints of at least low; argparse names it in its
-    "invalid <name> value" error."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(message)
+def _int(name: str, low: int | None = None, message: str = ""):
+    """A converter to ints of at least low; a ValueError names the problem."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"invalid {name} value: {text!r}") from None
+        if low is not None and value < low:
+            raise ValueError(message)
         return value
-
-    parse.__name__ = name
-    return parse
+    return convert
 
 
-_step = _int_at_least("step", 1, "step a must be at least 1")
-_offset = _int_at_least("offset", 0, "offset b must be non-negative")
-_length = _int_at_least("max-len", 0, "max-len must be non-negative")
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The aplang parser, built on the first call and shared by every later
-    caller in the process: parse with it, but do not add to it."""
-    parser = argparse.ArgumentParser(
-        prog="aplang",
-        description=(
-            "Filter formal languages along arithmetic progressions, take "
-            "square diagonals, and verify the toolkit's claims against "
-            "brute-force oracles."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "filter-word", help="keep the letters at indices b, a+b, 2a+b, ..."
-    )
-    p.add_argument("word", help="word of single-character symbols")
-    p.add_argument("a", type=_step, help="progression step (>= 1)")
-    p.add_argument("b", type=_offset, help="progression offset (>= 0)")
-
-    p = sub.add_parser(
-        "filter-lang", help="build the filtered language of a DFA (minimized)"
-    )
-    p.add_argument("dfa_file", help="DFA in JSON form")
-    p.add_argument("a", type=_step)
-    p.add_argument("b", type=_offset)
-    p.add_argument("--out", help="write the result here instead of stdout")
-
-    p = sub.add_parser(
-        "enumerate-filtrations",
-        help="list every distinct filtered language of one filter family",
-    )
-    p.add_argument("dfa_file")
-    p.add_argument("family", choices=[f.value for f in FilterFamily])
-    p.add_argument(
-        "--max-len", type=_length, default=5, help="sample word length (default 5)"
-    )
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = sub.add_parser("diag", help="diagonal of a word of square length")
-    p.add_argument("word")
-
-    p = sub.add_parser(
-        "diag-nfa",
-        help="build the automaton for the diagonal language of a DFA, "
-        "written as an NFA with one target per transition",
-    )
-    p.add_argument("dfa_file")
-    p.add_argument("--out", help="write the NFA here instead of stdout")
-
-    p = sub.add_parser("verify", help="run the claim verification suites")
-    p.add_argument("claim", choices=CLAIM_IDS + ("all",))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--deep", action="store_true", help="include the |y|=169 sweep")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-
-    return parser
-
-
-def _cmd_filter_word(args: argparse.Namespace) -> int:
+def _cmd_filter_word(args: SimpleNamespace) -> int:
     result = filter_word(args.word, ArithFilter(args.a, args.b))
     print(result if result else "(empty)")
     return 0
 
 
-def _cmd_filter_lang(args: argparse.Namespace) -> int:
+def _cmd_filter_lang(args: SimpleNamespace) -> int:
     d = load_dfa(args.dfa_file)
     built = build_filtered_dfa(d, ArithFilter(args.a, args.b))
     minimized = built.minimized()
@@ -137,7 +68,7 @@ def _samples(dfa, max_len: int) -> list[str]:
     return [dfa.alphabet.format(w) for w in dfa.enumerate_accepted(max_len, SAMPLE_WORDS)]
 
 
-def _cmd_enumerate_filtrations(args: argparse.Namespace) -> int:
+def _cmd_enumerate_filtrations(args: SimpleNamespace) -> int:
     d = load_dfa(args.dfa_file)
     (atlas,) = enumerate_atlases(d, [FilterFamily(args.family)])
     if args.format == "json":
@@ -169,12 +100,12 @@ def _cmd_enumerate_filtrations(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_diag(args: argparse.Namespace) -> int:
+def _cmd_diag(args: SimpleNamespace) -> int:
     print(diag_word(args.word))
     return 0
 
 
-def _cmd_diag_nfa(args: argparse.Namespace) -> int:
+def _cmd_diag_nfa(args: SimpleNamespace) -> int:
     d = load_dfa(args.dfa_file)
     nfa = build_diag_nfa(d)
     print(f"states: {nfa.size}")
@@ -187,7 +118,7 @@ def _cmd_diag_nfa(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     claims = CLAIM_IDS if args.claim == "all" else (args.claim,)
     report = run_claims(claims, seed=args.seed, deep=args.deep)
     if args.format == "json":
@@ -200,21 +131,156 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
-_DISPATCH = {
-    "filter-word": _cmd_filter_word,
-    "filter-lang": _cmd_filter_lang,
-    "enumerate-filtrations": _cmd_enumerate_filtrations,
-    "diag": _cmd_diag,
-    "diag-nfa": _cmd_diag_nfa,
-    "verify": _cmd_verify,
+FLAG = None  # the converter of an option that takes no value
+_DFA = ("dfa_file", str, "DFA in JSON form")
+_STEP = ("a", _int("step", 1, "step a must be at least 1"), "progression step (>= 1)")
+_OFFSET = ("b", _int("offset", 0, "offset b must be non-negative"), "progression offset (>= 0)")
+_OUT = (str, None, "write the automaton here instead of stdout")
+_FORMAT = (("table", "json"), "table", "output format")
+_HELP = {"--help": (FLAG, None, "show this help and exit")}
+
+# command: (help, handler, positionals as (name, converter, help), long
+# options as {name: (converter or FLAG, default, help)}); a converter is a
+# function that raises ValueError with its message, or a tuple of choices
+COMMANDS = {
+    "filter-word": ("keep the letters at indices b, a+b, 2a+b, ...", _cmd_filter_word,
+                    (("word", str, "word of single-character symbols"), _STEP, _OFFSET), {}),
+    "filter-lang": ("build the filtered language of a DFA (minimized)", _cmd_filter_lang,
+                    (_DFA, _STEP, _OFFSET), {"--out": _OUT}),
+    "enumerate-filtrations": (
+        "list every distinct filtered language of one filter family", _cmd_enumerate_filtrations,
+        (_DFA, ("family", tuple(f.value for f in FilterFamily), "filter family")),
+        {"--max-len": (_int("max-len", 0, "max-len must be non-negative"), 5, "sample word length"),
+         "--format": _FORMAT}),
+    "diag": ("diagonal of a word of square length", _cmd_diag, (("word", str, "the word"),), {}),
+    "diag-nfa": ("build the automaton for the diagonal language of a DFA, written as an NFA "
+                 "with one target per transition", _cmd_diag_nfa, (_DFA,), {"--out": _OUT}),
+    "verify": ("run the claim verification suites", _cmd_verify,
+               (("claim", CLAIM_IDS + ("all",), "one claim, or all of them"),),
+               {"--seed": (_int("int"), DEFAULT_SEED, "seed of the random automata"),
+                "--deep": (FLAG, False, "include the |y|=169 sweep"), "--format": _FORMAT}),
 }
+
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")  # argparse reads these as values, not options
+
+
+def _shown(name: str, convert) -> str:
+    """An argument as usage and help show it."""
+    if name[0] == "-":
+        return name if convert is FLAG else f"{name} {_shown(name[2:].upper(), convert)}"
+    return "{" + ",".join(convert) + "}" if isinstance(convert, tuple) else name
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: aplang [-h] {" + ",".join(COMMANDS) + "} ..."
+    _, _, positionals, options = COMMANDS[command]
+    words = [f"[{_shown(n, c)}]" for n, (c, _, _) in options.items()]
+    words += [_shown(n, c) for n, c, _ in positionals]
+    return " ".join(["usage: aplang", command, "[-h]", *words])
+
+
+def _help(command: str | None):
+    """Print the help of aplang or of one command, and exit 0."""
+    if command is None:
+        lines = ["commands:", *(f"  {n:<23}{row[0]}" for n, row in COMMANDS.items())]
+    else:
+        text, _, positionals, options = COMMANDS[command]
+        lines = [text, "", "positional arguments:", *(f"  {n:<23}{h}" for n, _, h in positionals)]
+        lines += ["", "options:"] + [
+            f"  {_shown(n, c):<23}{h}" + ("" if c is FLAG or d is None else f" (default {d})")
+            for n, (c, d, h) in {**_HELP, **options}.items()]
+    print("\n".join([_usage(command), "", *lines]))
+    raise SystemExit(0)
+
+
+def _fail(command: str | None, message: str):
+    """Report a usage error as argparse does, and exit 2."""
+    prog = "aplang" if command is None else f"aplang {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _convert(command: str | None, name: str, convert, text: str):
+    """text through convert, or a usage error that names the argument."""
+    try:
+        if not isinstance(convert, tuple):
+            return convert(text)
+        if text in convert:
+            return text
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, convert))})")
+    except ValueError as exc:
+        _fail(command, f"argument {name}: {exc}")
+
+
+def _option(command: str, names, token: str):
+    """(name, inline value or None) for -h or a long option, named in full or
+    by a unique prefix; (None, None) for an unknown option; None for a value."""
+    key, eq, inline = ("--help", "", "") if token == "-h" else token.partition("=")
+    if key[:2] == "--":
+        hits = [n for n in names if n == key] or [n for n in names if n.startswith(key)]
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], inline if eq else None
+    values = token[:1] != "-" or token == "-" or " " in token or _NUMBER.match(token)
+    return None if values else (None, None)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command and its fields, read from argv in one pass against
+    COMMANDS; a usage error prints to stderr and raises SystemExit(2)."""
+    if not argv:
+        _fail(None, "the following arguments are required: command")
+    command, *tokens = argv
+    if command == "-h" or len(command) > 2 and "--help".startswith(command):
+        _help(None)
+    _convert(None, "command", tuple(COMMANDS), command)
+    _, _, positionals, options = COMMANDS[command]
+    known = {**_HELP, **options}
+    fields = {"command": command, **{n[2:].replace("-", "_"): o[1] for n, o in options.items()}}
+    extras, filled, took, i, ended = [], 0, False, 0, False
+    while i < len(tokens):
+        token, i = tokens[i], i + 1
+        if token == "--" and not ended:
+            # as in argparse, the positional just taken, or else the next, absorbs it
+            ended = True
+            if not (took or filled < len(positionals) and i < len(tokens)):
+                extras.append(token)
+            continue
+        hit = None if ended else _option(command, known, token)
+        took = hit is None and filled < len(positionals)
+        if took:
+            name, convert, _ = positionals[filled]
+            fields[name] = _convert(command, name, convert, token)
+            filled += 1
+        elif hit is None or hit[0] is None:
+            extras.append(token)
+        else:
+            name, inline = hit
+            convert = known[name][0]
+            if convert is FLAG and inline is not None:
+                _fail(command, f"argument {name}: ignored explicit argument {inline!r}")
+            if name == "--help":
+                _help(command)
+            if convert is not FLAG and inline is None:
+                if i == len(tokens) or tokens[i] == "--" or _option(command, known, tokens[i]):
+                    _fail(command, f"argument {name}: expected one argument")
+                inline, i = tokens[i], i + 1
+            dest = name[2:].replace("-", "_")
+            fields[dest] = True if convert is FLAG else _convert(command, name, convert, inline)
+    if filled < len(positionals):
+        missing = ", ".join(name for name, _, _ in positionals[filled:])
+        _fail(command, f"the following arguments are required: {missing}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**fields)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _DISPATCH[args.command](args)
+        return COMMANDS[args.command][1](args)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,5 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
-import argparse
 import json
 import subprocess
 import sys
@@ -718,6 +717,134 @@ def test_verify_thm4_seed_flag(capsys):
     assert "gap-after-letter stepping diverges" in out
 
 
+# --- usage errors ----------------------------------------------------------------
+
+FAMILIES = "'weak', 'ordinary', 'strong', 'shift'"
+COMMAND_CHOICES = (
+    "'filter-word', 'filter-lang', 'enumerate-filtrations', 'diag', 'diag-nfa', 'verify'"
+)
+CLAIMS = "'thm1', 'thm2', 'thm3', 'thm4', 'thm5', 'all'"
+
+# (argv, the command the error names or None for aplang itself, message);
+# each fails with exit code 2
+USAGE_ERRORS = [
+    ([], None, "the following arguments are required: command"),
+    (["no-such-command"], None,
+     f"argument command: invalid choice: 'no-such-command' (choose from {COMMAND_CHOICES})"),
+    ([""], None, f"argument command: invalid choice: '' (choose from {COMMAND_CHOICES})"),
+    (["filter-word", "w", "zero", "0"], "filter-word", "argument a: invalid step value: 'zero'"),
+    (["filter-word", "w", "0", "0"], "filter-word", "argument a: step a must be at least 1"),
+    (["filter-word", "w", "1", "-1"], "filter-word", "argument b: offset b must be non-negative"),
+    (["filter-word", "w", "1", "y"], "filter-word", "argument b: invalid offset value: 'y'"),
+    (["filter-word", "w"], "filter-word", "the following arguments are required: a, b"),
+    (["filter-word"], "filter-word", "the following arguments are required: word, a, b"),
+    (["filter-word", "w", "1", "0", "extra"], None, "unrecognized arguments: extra"),
+    (["filter-word", "w", "x", "1", "--bogus"], "filter-word",
+     "argument a: invalid step value: 'x'"),
+    (["filter-word", "w", "--bogus"], "filter-word", "the following arguments are required: a, b"),
+    (["filter-word", "w", "1", "2", "--", "x"], None, "unrecognized arguments: x"),
+    (["filter-lang", "f.json", "1"], "filter-lang", "the following arguments are required: b"),
+    (["filter-lang", "f.json", "2", "1", "--out=", "--o"], "filter-lang",
+     "argument --out: expected one argument"),
+    (["enumerate-filtrations", "x.json", "prime"], "enumerate-filtrations",
+     f"argument family: invalid choice: 'prime' (choose from {FAMILIES})"),
+    (["enumerate-filtrations", "x.json", "weak", "--max-len", "z"], "enumerate-filtrations",
+     "argument --max-len: invalid max-len value: 'z'"),
+    (["enumerate-filtrations", "x.json", "weak", "--max-len", "-1"], "enumerate-filtrations",
+     "argument --max-len: max-len must be non-negative"),
+    (["enumerate-filtrations", "x.json", "weak", "--max", "0", "--max-len=-3"],
+     "enumerate-filtrations", "argument --max-len: max-len must be non-negative"),
+    (["enumerate-filtrations", "x.json", "weak", "--format=xml"], "enumerate-filtrations",
+     "argument --format: invalid choice: 'xml' (choose from 'table', 'json')"),
+    (["enumerate-filtrations", "x.json", "weak", "--form", "xml"], "enumerate-filtrations",
+     "argument --format: invalid choice: 'xml' (choose from 'table', 'json')"),
+    (["diag"], "diag", "the following arguments are required: word"),
+    (["diag", "x", "--", "--"], None, "unrecognized arguments: --"),
+    (["diag-nfa"], "diag-nfa", "the following arguments are required: dfa_file"),
+    (["diag-nfa", "f.json", "--out"], "diag-nfa", "argument --out: expected one argument"),
+    (["verify", "thm9"], "verify",
+     f"argument claim: invalid choice: 'thm9' (choose from {CLAIMS})"),
+    (["verify", "all", "--fo", "json", "--s", "x"], "verify",
+     "argument --seed: invalid int value: 'x'"),
+    (["verify", "--seed", "x"], "verify", "argument --seed: invalid int value: 'x'"),
+    (["verify", "all", "--seed"], "verify", "argument --seed: expected one argument"),
+    (["verify", "thm3", "--seed", "--deep"], "verify", "argument --seed: expected one argument"),
+    (["verify", "thm3", "--seed", "--"], "verify", "argument --seed: expected one argument"),
+    (["verify", "thm3", "--seed", "-x"], "verify", "argument --seed: expected one argument"),
+    (["verify", "thm3", "--seed", "-1e5"], "verify", "argument --seed: expected one argument"),
+    (["verify", "thm3", "--seed", "-"], "verify", "argument --seed: invalid int value: '-'"),
+    (["verify", "thm3", "--seed", "--x y"], "verify",
+     "argument --seed: invalid int value: '--x y'"),
+    (["verify", "--x y"], "verify",
+     f"argument claim: invalid choice: '--x y' (choose from {CLAIMS})"),
+    (["verify", "all", "--deep=1"], "verify", "argument --deep: ignored explicit argument '1'"),
+    (["verify", "all", "--deep="], "verify", "argument --deep: ignored explicit argument ''"),
+    (["verify", "all", "--max-len", "3"], None, "unrecognized arguments: --max-len 3"),
+    (["verify", "all", "--format", "table", "--format", "xml"], "verify",
+     "argument --format: invalid choice: 'xml' (choose from 'table', 'json')"),
+    (["verify", "thm3", "--format=json=x"], "verify",
+     "argument --format: invalid choice: 'json=x' (choose from 'table', 'json')"),
+    (["verify", "thm3", "extra", "--bogus"], None, "unrecognized arguments: extra --bogus"),
+    (["verify", "thm3", "--", "--deep"], None, "unrecognized arguments: --deep"),
+    (["verify", "thm3", "--deep", "--"], None, "unrecognized arguments: --"),
+    (["verify", "thm3", "--bogus", "--"], None, "unrecognized arguments: --bogus --"),
+    (["verify", "--", "--"], "verify",
+     f"argument claim: invalid choice: '--' (choose from {CLAIMS})"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, command, message",
+    USAGE_ERRORS,
+    ids=[" ".join(argv) or "(none)" for argv, _, _ in USAGE_ERRORS],
+)
+def test_usage_errors_are_pinned(capsys, argv, command, message):
+    # the first bad token in argv order, then missing positionals, then
+    # unrecognized arguments; every message as the command line always gave it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: aplang")
+    prog = "aplang" if command is None else f"aplang {command}"
+    assert err.splitlines()[-1] == f"{prog}: error: {message}"
+
+
+def test_a_second_double_dash_is_a_value(capsys):
+    # argparse (3.10 to 3.13) handed a positional whose only token was a
+    # second -- an empty list, which reached the handler as an internal
+    # error (exit 4)
+    with pytest.raises(SystemExit) as exc:
+        main(["filter-word", "--", "w", "--", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument a: invalid step value: '--'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (
+            ["verify", "thm4", "--seed=7", "--format=json"],
+            ["verify", "thm4", "--seed", "7", "--format", "json"],
+        ),
+        (
+            ["verify", "thm3", "--se=-2", "--s", "3", "--fo=json"],
+            ["verify", "thm3", "--seed", "3", "--format", "json"],
+        ),
+        (["verify", "--deep", "--", "thm3"], ["verify", "thm3", "--deep"]),
+        (["verify", "thm3", "--seed", "-5"], ["verify", "thm3"]),
+        (["filter-word", "--", "w", "1", "0"], ["filter-word", "w", "1", "0"]),
+        (["filter-word", "w", "1", "--", "0"], ["filter-word", "w", "1", "0"]),
+        (["filter-word", "w", "1", "0", "--"], ["filter-word", "w", "1", "0"]),
+    ],
+)
+def test_option_spellings_give_the_same_output(capsys, argv, same_as):
+    # --name=value, a unique prefix and -- read as the full spelling does
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == run_cli(capsys, *same_as)[:2]
+    assert code == 0 and out
+
+
 # --- determinism ------------------------------------------------------------------
 
 
@@ -741,38 +868,37 @@ def test_stdout_does_not_depend_on_hash_seed(tmp_path):
         assert runs[0].stdout == runs[1].stdout and runs[0].stdout, argv
 
 
-# --- one parser per process -----------------------------------------------------
+# --- help and repeated calls ---------------------------------------------------
 
 
-def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
-    src = tmp_path / "ab_star.json"
-    save_dfa(ab_star_dfa(), str(src))
-    main(["diag", "absorbent"])  # the first call may build the parser
-    built = []
-    init = argparse.ArgumentParser.__init__
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith("usage: aplang ")
+    assert all(name in out for name in aplang.cli.COMMANDS)
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    for argv in (
-        ["filter-word", "theorem", "2", "0"],
-        ["filter-lang", str(src), "2", "0"],
-        ["enumerate-filtrations", str(src), "strong"],
-        ["diag", "absorbent"],
-        ["diag-nfa", str(src)],
-        ["verify", "thm3"],
-    ):
-        assert main(argv) == 0, argv
-    capsys.readouterr()
-    assert built == []
+@pytest.mark.parametrize("command", list(aplang.cli.COMMANDS))
+def test_command_help_names_its_arguments(capsys, command):
+    # every positional, option and choice, as the command table gives them
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith(f"usage: aplang {command} ")
+    _, _, positionals, options = aplang.cli.COMMANDS[command]
+    converters = [c for _, c, _ in positionals] + [c for c, _, _ in options.values()]
+    words = [name for name, _, _ in positionals] + list(options)
+    words += [choice for c in converters if isinstance(c, tuple) for choice in c]
+    assert [word for word in words if word not in out] == []
 
 
 def test_main_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
     # each flag is set in one call and left out of the next; the in-process
     # sequence must read exactly like one fresh process per command
-    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    # usage lines do not wrap at the terminal width, so a narrower one in the
+    # fresh processes changes nothing
+    monkeypatch.setenv("COLUMNS", "80")
     dfa, out = str(tmp_path / "ab_star.json"), str(tmp_path / "out.json")
     save_dfa(ab_star_dfa(), dfa)
     sequence = [
@@ -804,7 +930,7 @@ def test_main_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
     for argv in sequence:
         run = subprocess.run(
             [sys.executable, "-m", "aplang", *argv],
-            env=fresh_env(),
+            env=fresh_env(COLUMNS="20"),
             capture_output=True,
             text=True,
         )
@@ -812,24 +938,3 @@ def test_main_carries_nothing_between_calls(tmp_path, capsys, monkeypatch):
     assert [c for c, _, _ in in_process] == [0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0]
     for argv, got, expected in zip(sequence, in_process, fresh):
         assert got == expected, argv
-
-
-def test_importing_the_cli_builds_no_parser():
-    # a parser built at import would move its cost into every importer's start-up
-    script = """
-import argparse
-built = []
-init = argparse.ArgumentParser.__init__
-def counting(self, *args, **kwargs):
-    built.append(self)
-    init(self, *args, **kwargs)
-argparse.ArgumentParser.__init__ = counting
-import aplang.cli
-print(len(built))
-aplang.cli.build_parser()
-print(len(built))
-"""
-    run = subprocess.run(
-        [sys.executable, "-c", script], env=fresh_env(), capture_output=True, text=True
-    )
-    assert (run.returncode, run.stdout.split()) == (0, ["0", "7"])

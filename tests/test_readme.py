@@ -7,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from aplang.cli import build_parser
+from aplang.cli import parse_args
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,6 +51,5 @@ def test_command_line_examples_parse():
         if line.startswith("aplang ")
     ]
     assert len(commands) == 10
-    parser = build_parser()
     for argv in commands:
-        parser.parse_args(argv[1:])
+        parse_args(argv[1:])
