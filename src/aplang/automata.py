@@ -165,19 +165,15 @@ class Dfa(Record):
         if not 0 <= start < size or not all(0 <= q < size for q in accepting):
             raise ValueError("start or accepting state out of range")
         k = len(alphabet)
+        rows = [[size] * k for _ in range(size)]
         for (q, c), t in transitions.items():
             if not (0 <= q < size and 0 <= c < k and 0 <= t < size):
                 raise ValueError(f"transition ({q}, {c}) -> {t} out of range")
-        complete = all((q, c) in transitions for q in range(size) for c in range(k))
-        total = size if complete else size + 1
-        dead = size
-        rows = []
-        for q in range(total):
-            if q == dead and not complete:
-                rows.append(tuple(dead for _ in range(k)))
-            else:
-                rows.append(tuple(transitions.get((q, c), dead) for c in range(k)))
-        return cls(alphabet, total, start, accepting, tuple(rows))
+            rows[q][c] = t
+        # the keys are distinct, so a cell is missing exactly when fewer are listed
+        if len(transitions) < size * k:
+            rows.append([size] * k)
+        return cls(alphabet, len(rows), start, accepting, rows)
 
     def accepts(self, word: Word) -> bool:
         _check_word(self.alphabet, word)

@@ -3,8 +3,8 @@
 Exit codes: 0 success / all claims pass, 1 verification failure, 2 usage
 or parse error, 3 file I/O error, 4 internal error.  Standard output is
 byte-deterministic for fixed flags and seed; timing goes to stderr.
-``parse_args`` reads argv in one pass against the table ``COMMANDS``,
-with argparse's rules and messages.  ``main(argv)`` may be called many
+``parse_args`` reads argv against the table ``COMMANDS``, with
+argparse's rules and messages.  ``main(argv)`` may be called many
 times in one process; the power-orbit memo (``boolmat.power_orbit``'s
 ``lru_cache``) persists between calls, and output does not depend on it.
 """
@@ -228,8 +228,8 @@ def _option(command: str, names, token: str):
 
 
 def parse_args(argv) -> SimpleNamespace:
-    """The command and its fields, read from argv in one pass against
-    COMMANDS; a usage error prints to stderr and raises SystemExit(2)."""
+    """The command and its fields, read from argv against COMMANDS; a
+    usage error prints to stderr and raises SystemExit(2)."""
     if not argv:
         _fail(None, "the following arguments are required: command")
     command, *tokens = argv
@@ -239,6 +239,10 @@ def parse_args(argv) -> SimpleNamespace:
     _, _, positionals, options = COMMANDS[command]
     known = {**_HELP, **options}
     fields = {"command": command, **{n[2:].replace("-", "_"): o[1] for n, o in options.items()}}
+    # argparse sorts options from values before it reads any, so an
+    # ambiguous option before the first -- is the first error
+    for token in tokens[: tokens.index("--") if "--" in tokens else None]:
+        _option(command, known, token)
     extras, filled, took, i, ended = [], 0, False, 0, False
     while i < len(tokens):
         token, i = tokens[i], i + 1
@@ -260,7 +264,8 @@ def parse_args(argv) -> SimpleNamespace:
             name, inline = hit
             convert = known[name][0]
             if convert is FLAG and inline is not None:
-                _fail(command, f"argument {name}: ignored explicit argument {inline!r}")
+                shown = "-h/--help" if name == "--help" else name
+                _fail(command, f"argument {shown}: ignored explicit argument {inline!r}")
             if name == "--help":
                 _help(command)
             if convert is not FLAG and inline is None:

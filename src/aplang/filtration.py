@@ -260,11 +260,11 @@ def first_disagreements(
     every word.  A start node with offset step-1 is the node a kept letter
     leaves with the same states; both stand for the same words, so their
     pairs merge soundly.  If no reached pair's acceptance differs, every
-    start agrees and the walk's predecessors are never built.  Otherwise
-    one backward search from the pairs whose acceptance differs gives each
-    pair's distance to the nearest disagreement, for every start alike,
-    and each start's witness is read off greedily: take the least letter
-    whose pair is one step nearer.
+    start agrees.  Otherwise each start's witness is read off the recorded
+    walk by a breadth-first search from its start pair, letters in
+    ascending order, which meets every pair first by that pair's
+    shortlex-least word: the first disagreeing pair it meets is spelled
+    back along the (pair, letter) each pair was first reached from.
     The cost is bounded by the reachable pairs, not by the number of words.
     """
     if step < 1 or min(offsets, default=0) < 0:
@@ -286,37 +286,29 @@ def first_disagreements(
         succ[pair] = tuple((dfa.delta[q][c], walk.step(node, c)) for c in symbols)
         todo.extend(succ[pair])
 
-    frontier = [p for p in succ if (p[0] in dfa.accepting) != walk.accepts(p[1])]
-    if not frontier:
+    differ = {p for p in succ if (p[0] in dfa.accepting) != walk.accepts(p[1])}
+    if not differ:
         return [None] * len(offsets)
-    preds: dict[tuple, list[tuple]] = {}
-    for pair, targets in succ.items():
-        for t in targets:
-            preds.setdefault(t, []).append(pair)
-    dist = dict.fromkeys(frontier, 0)
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for t in frontier:
-            for pair in preds.get(t, ()):
-                if pair not in dist:
-                    dist[pair] = depth
-                    nxt.append(pair)
-        frontier = nxt
-
     witnesses: list[Optional[Word]] = []
-    for pair in starts:
-        if pair not in dist:
+    for start in starts:
+        # came[pair]: the (pair, letter) it was first reached from
+        came: dict[tuple, Optional[tuple]] = {start: None}
+        queue = [start]
+        for pair in queue:
+            if pair in differ:
+                break
+            for c, t in enumerate(succ[pair]):
+                if t not in came:
+                    came[t] = (pair, c)
+                    queue.append(t)
+        else:
             witnesses.append(None)
             continue
         word: list[int] = []
-        while dist[pair]:
-            nearer = dist[pair] - 1
-            c = next(c for c, t in enumerate(succ[pair]) if dist.get(t) == nearer)
+        while came[pair]:
+            pair, c = came[pair]
             word.append(c)
-            pair = succ[pair][c]
-        witnesses.append(tuple(word))
+        witnesses.append(tuple(reversed(word)))
     return witnesses
 
 

@@ -130,14 +130,12 @@ def obj_to_nfa(obj: dict) -> Nfa:
     alphabet, size = _header(obj, "an NFA")
     initial = _require_ints(obj, "initial")
     accepting = _require_ints(obj, "accepting")
-    transitions: dict[tuple[int, int], frozenset[int]] = {}
+    rows = [[frozenset()] * len(alphabet) for _ in range(size)]
     for q, c, targets in _cells(obj, alphabet, size):
         if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
             raise ValueError("NFA transition targets must be lists of integers")
-        transitions[(q, c)] = frozenset(targets)
-    symbols = range(len(alphabet))
-    rows = (tuple(transitions.get((q, c), frozenset()) for c in symbols) for q in range(size))
-    return Nfa(alphabet, size, initial, accepting, tuple(rows))
+        rows[q][c] = frozenset(targets)
+    return Nfa(alphabet, size, initial, accepting, rows)
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:

@@ -369,6 +369,8 @@ def test_build_reads_accepting_once():
 
 
 def test_dfa_validation():
+    with pytest.raises(ValueError, match="state count must be positive"):
+        Dfa(AB, 0, 0, frozenset(), ())
     with pytest.raises(ValueError):
         Dfa(AB, 2, 5, frozenset(), ((0, 0), (0, 0)))
     with pytest.raises(ValueError):
@@ -377,6 +379,18 @@ def test_dfa_validation():
         Dfa(AB, 2, 0, frozenset(), ((0,), (0, 0)))  # incomplete row
     with pytest.raises(ValueError):
         Dfa(AB, 2, 0, frozenset(), ((0, 3), (0, 0)))  # target out of range
+
+
+def test_nfa_validation():
+    none = frozenset()
+    with pytest.raises(ValueError, match="state count must be positive"):
+        Nfa(AB, 0, none, none, ())
+    with pytest.raises(ValueError, match="transition table has the wrong shape"):
+        Nfa(AB, 1, none, none, ((none,),))
+    with pytest.raises(ValueError, match="state out of range"):
+        Nfa(AB, 1, {1}, none, ((none, none),))
+    with pytest.raises(ValueError, match="transition target out of range"):
+        Nfa(AB, 1, none, none, ((none, {1}),))
 
 
 def test_alphabet_validation():

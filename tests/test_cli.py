@@ -779,6 +779,21 @@ USAGE_ERRORS = [
      f"argument claim: invalid choice: '--x y' (choose from {CLAIMS})"),
     (["verify", "all", "--deep=1"], "verify", "argument --deep: ignored explicit argument '1'"),
     (["verify", "all", "--deep="], "verify", "argument --deep: ignored explicit argument ''"),
+    (["verify", "all", "--help=1"], "verify", "argument -h/--help: ignored explicit argument '1'"),
+    (["filter-word", "w", "1", "0", "--h=x"], "filter-word",
+     "argument -h/--help: ignored explicit argument 'x'"),
+    (["diag", "abcd", "--=x"], "diag", "argument -h/--help: ignored explicit argument 'x'"),
+    (["verify", "all", "--=x"], "verify",
+     "ambiguous option: --=x could match --help, --seed, --deep, --format"),
+    (["enumerate-filtrations", "f.json", "weak", "--=1"], "enumerate-filtrations",
+     "ambiguous option: --=1 could match --help, --max-len, --format"),
+    (["filter-lang", "f.json", "1", "0", "--=x"], "filter-lang",
+     "ambiguous option: --=x could match --help, --out"),
+    # an ambiguous option before the first -- goes before any other error
+    (["filter-lang", "f.json", "x", "0", "--=x"], "filter-lang",
+     "ambiguous option: --=x could match --help, --out"),
+    (["verify", "all", "--deep=1", "--=x"], "verify",
+     "ambiguous option: --=x could match --help, --seed, --deep, --format"),
     (["verify", "all", "--max-len", "3"], None, "unrecognized arguments: --max-len 3"),
     (["verify", "all", "--format", "table", "--format", "xml"], "verify",
      "argument --format: invalid choice: 'xml' (choose from 'table', 'json')"),
@@ -799,8 +814,8 @@ USAGE_ERRORS = [
     ids=[" ".join(argv) or "(none)" for argv, _, _ in USAGE_ERRORS],
 )
 def test_usage_errors_are_pinned(capsys, argv, command, message):
-    # the first bad token in argv order, then missing positionals, then
-    # unrecognized arguments; every message as the command line always gave it
+    # an ambiguous option, then the first bad token in argv order, then missing
+    # positionals, then unrecognized arguments; every message as argparse gave it
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -153,6 +153,7 @@ def option_tokens(draw, options):
 def argvs(draw):
     """No command, an unknown one, or a command with its positionals (most
     of them valid, maybe too few or too many), options slotted in anywhere
+    after it, perhaps one --help=value (or a prefix of it, down to --=value)
     and perhaps one --.  Never a second --: argparse (3.10 to 3.13) turns
     one that a positional takes alone into an empty list (see
     test_cli.py)."""
@@ -164,6 +165,11 @@ def argvs(draw):
     argv = argv[: draw(st.integers(0, len(argv)) | st.just(len(argv)))]
     argv += draw(st.lists(st.sampled_from(VALUES), max_size=1))
     inserts = draw(st.lists(option_tokens(options), max_size=3)) + [["--"]] * draw(st.booleans())
+    # --help, a prefix of it or a bare -- with =value: a help flag given a
+    # value, or an option ambiguous among all of the command's
+    inserts += draw(st.lists(st.builds(
+        lambda n, value: ["--help"[:n] + "=" + value], st.integers(2, 6), st.sampled_from(VALUES)
+    ), max_size=1))
     for tokens in inserts:
         at = draw(st.integers(0, len(argv)))
         argv[at:at] = tokens
